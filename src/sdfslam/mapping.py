@@ -1,15 +1,31 @@
 """Signed-distance-function mapping backend.
 
-Each scan updates the map in five steps: hit points are bucketed per cell,
-an orthogonal regression line is fitted per occupied cell (expanding the
-point search over neighbor rings when the cell is sparse), nearby cell
-centers are projected onto the line to produce candidate distance updates,
-free space is carved along each beam, and the combined update set is
-resolved by priority and fused into the grid with weighted running means.
+:func:`integrate_scan` updates the map with a few NumPy passes over the
+whole scan:
+
+1. bucket the in-grid hits by cell, cells in order of first appearance and
+   points in beam order;
+2. grow each sparse cell's point search ring by ring over one fixed offset
+   table, then fit an orthogonal regression line per cell, all fits of one
+   point count at once;
+3. project the cell centers of one truncation stencil, broadcast over the
+   fitted cells, onto the lines and keep those inside each update range;
+4. resolve the candidates by priority, averaging exact ties;
+5. give each beam the line of its hit cell or of a neighbor;
+6. carve free space along all beams in one batched traversal;
+7. fuse the surface winners and the remaining carved cells into the grid
+   with weighted running means.
+
+The per-cell functions below (:func:`collect_points`,
+:func:`fit_deming`, :func:`surface_update_entries`,
+:func:`free_space_entries`, :func:`resolve_update_set`,
+:func:`fuse_cell`) state the same update one cell or beam at a time; the
+passes reproduce them bit for bit, and the tests compare the two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -360,8 +376,16 @@ def integrate_scan(grid: SdfGrid, scan, pose: Pose2, policy: ExpansionPolicy,
 
     ``pose`` must be expressed in the grid frame. Hit points outside the
     grid raise :class:`OutOfBounds` unless ``clip`` is set, in which case
-    they are dropped (their beams then carve nothing either, lacking a
-    fitted line). Requires exclusive access to the grid.
+    they are dropped from the buckets and the line fits. Their beams still
+    carve when a fitted cell lies within one ring of the hit cell, as every
+    beam does (see :func:`_neighbor_line`). Requires exclusive access to
+    the grid.
+
+    The result equals the per-cell pipeline (:func:`collect_points`,
+    :func:`fit_deming`, :func:`surface_update_entries`,
+    :func:`free_space_entries`, :func:`resolve_update_set`,
+    :func:`fuse_cell`) bit for bit; each pass below evaluates the same
+    expressions, in the same summation order, over whole arrays.
     """
     stats = UpdateStats()
     geom = grid.geometry
@@ -375,85 +399,326 @@ def integrate_scan(grid: SdfGrid, scan, pose: Pose2, policy: ExpansionPolicy,
     inb = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
     if not clip and not inb.all():
         raise OutOfBounds("hit point outside grid (grid growth is not supported)")
+    if not inb.any():
+        return stats  # no fitted cell, so no beam has a line to carve with
 
-    origin = (pose.x, pose.y)
-    hits: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for k in np.flatnonzero(inb):
-        cell = (int(cols[k]), int(rows[k]))
-        hits.setdefault(cell, []).append((pts_world[k, 0], pts_world[k, 1]))
-
-    # Surface updates: fit one regression line per occupied cell.
-    lines: dict[tuple[int, int], RegressionLine] = {}
-    entries: list[UpdateEntry] = []
-    for cell in hits:
-        collected = collect_points(cell, hits, policy)
-        if collected is None:
-            stats.cells_skipped += 1
-            continue
-        pts, e = collected
-        try:
-            line = fit_deming(pts, origin)
-        except DegenerateFit:
-            stats.cells_skipped += 1
-            continue
-        lines[cell] = line
-        entries.extend(surface_update_entries(cell, line, e, grid, origin))
-    resolved = resolve_update_set(entries)
+    cells = _bucket_hits(geom, cols, rows, inb)
+    fit = _fit_lines(cells, pts_world, (pose.x, pose.y), policy)
+    stats.cells_skipped = len(cells.count) - len(fit.cell)
+    surf_flat, surf_f = _surface_updates(grid, cells, fit)
 
     # Free-space carving along every valid beam that has a usable line.
-    valid_idx = np.flatnonzero(scan.valid_mask())
-    angles = scan.beam_angles()
-    free_cols: list[np.ndarray] = []
-    free_rows: list[np.ndarray] = []
-    for k in range(len(pts_sensor)):
-        cell = geom.world_to_cell(pts_world[k, 0], pts_world[k, 1])
-        line = _neighbor_line(lines, cell)
-        if line is None:
-            continue
-        beam = scan.ranges[valid_idx[k]]
-        a = pose.theta + angles[valid_idx[k]]
-        ux, uy = math.cos(a), math.sin(a)
-        cosg = -(ux * line.normal[0] + uy * line.normal[1])
-        gamma = math.acos(min(max(cosg, -1.0), 1.0))
-        extent = free_space_extent(beam, gamma, trunc)
-        if extent is None or extent <= 0.0:
-            continue
-        fc, fr = free_space_entry_cells(grid, origin, (ux, uy), extent)
-        if len(fc):
-            free_cols.append(fc)
-            free_rows.append(fr)
+    line = _beam_lines(cells, fit, cols, rows)
+    has = np.flatnonzero(line >= 0)
+    beam = np.flatnonzero(scan.valid_mask())[has]
+    line = line[has]
+    a = pose.theta + scan.beam_angles()[beam]
+    ux, uy = _libm(math.cos, a), _libm(math.sin, a)
+    cosg = -(ux * fit.nx[line] + uy * fit.ny[line])
+    gamma = _libm(math.acos, np.clip(cosg, -1.0, 1.0))
+    extent = np.maximum(0.0, scan.ranges[beam] - trunc / _libm(math.cos, gamma))
+    go = (np.abs(gamma) <= GAMMA_CLAMP) & (extent > 0.0)
+    free_cols, free_rows = traverse_beams(geom, pose.x, pose.y, ux[go], uy[go], extent[go])
 
     # Apply surface winners, then carve the remaining free cells. Surface
     # entries always outrank the free-space sentinel, so cells present in
     # both sets take the surface value only.
-    surf_cols = np.array([en.cell[0] for en in resolved], dtype=np.int64)
-    surf_rows = np.array([en.cell[1] for en in resolved], dtype=np.int64)
-    surf_f = np.array([en.f for en in resolved], dtype=np.float64)
-    _fuse_batch(grid, surf_cols, surf_rows, surf_f)
-    stats.cells_updated = len(resolved)
+    _fuse_batch(grid, surf_flat, surf_f)
+    stats.cells_updated = len(surf_flat)
 
-    if free_cols:
-        fc = np.concatenate(free_cols)
-        fr = np.concatenate(free_rows)
-        flat = np.unique(fr * geom.width + fc)
-        if len(surf_cols):
-            surf_flat = surf_rows * geom.width + surf_cols
-            flat = np.setdiff1d(flat, surf_flat, assume_unique=False)
-        fcol = flat % geom.width
-        frow = flat // geom.width
-        _fuse_batch(grid, fcol, frow, np.full(len(flat), trunc, dtype=np.float64))
-        stats.cells_carved = len(flat)
+    carve = np.zeros(geom.width * geom.height, dtype=bool)
+    carve[free_rows * geom.width + free_cols] = True
+    carve[surf_flat] = False
+    flat = np.flatnonzero(carve)
+    _fuse_batch(grid, flat, np.full(len(flat), trunc, dtype=np.float64))
+    stats.cells_carved = len(flat)
     return stats
 
 
-def _fuse_batch(grid: SdfGrid, cols, rows, f_t, w_t: float = 1.0):
-    """Vectorized fuse of distinct cells; same arithmetic as fuse_cell."""
-    if len(cols) == 0:
-        return
-    wp = grid.W[rows, cols].astype(np.float64)
-    fp = grid.F[rows, cols].astype(np.float64)
+def _libm(fn, *args) -> np.ndarray:
+    """``fn`` from :mod:`math` applied elementwise to float64 arrays.
+
+    NumPy's own ``arctan2`` and ``arccos`` may take SIMD approximations
+    (AVX-512 builds do) that differ from the C library in the last bit; the
+    per-cell pipeline calls :mod:`math`, so the array passes do too.
+    """
+    return np.fromiter(map(fn, *(x.tolist() for x in args)), dtype=np.float64,
+                       count=len(args[0]))
+
+
+def _rank_in_run(lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(n) for n in lengths])``."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+class _Cells(NamedTuple):
+    """Occupied cells of one frame, numbered in order of first appearance.
+
+    ``hits[start[c]:start[c] + count[c]]`` are the indices of cell ``c``'s
+    hit points in beam order, as :func:`collect_points` sees its bucket.
+    """
+
+    width: int
+    height: int
+    keys: np.ndarray  # sorted flat ids (row * width + col)
+    ids: np.ndarray  # cell number of each entry of ``keys``
+    col: np.ndarray
+    row: np.ndarray
+    count: np.ndarray
+    start: np.ndarray
+    hits: np.ndarray
+
+    def find(self, cols, rows) -> np.ndarray:
+        """Cell number at each (col, row), or -1 where no hit landed."""
+        inside = (cols >= 0) & (cols < self.width) & (rows >= 0) & (rows < self.height)
+        key = rows * self.width + cols
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        return np.where(inside & (self.keys[pos] == key), self.ids[pos], -1)
+
+
+def _bucket_hits(geom: GridGeometry, cols, rows, inb) -> _Cells:
+    """The cells of the hits marked ``inb``."""
+    hit = np.flatnonzero(inb)
+    keys, first, inverse = np.unique(rows[hit] * geom.width + cols[hit],
+                                     return_index=True, return_inverse=True)
+    appear = np.argsort(first)
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[appear] = np.arange(len(keys))
+    cell_of_hit = ids[inverse]
+    count = np.bincount(cell_of_hit, minlength=len(keys))
+    return _Cells(
+        width=geom.width, height=geom.height, keys=keys, ids=ids,
+        col=keys[appear] % geom.width, row=keys[appear] // geom.width,
+        count=count, start=np.cumsum(count) - count,
+        hits=hit[np.argsort(cell_of_hit, kind="stable")],
+    )
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only: a cached table is shared by every call."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _search_offsets(max_expansions: int):
+    """Offsets that :func:`collect_points` visits, in its order.
+
+    Own cell, then rings 1..max_expansions in :func:`chebyshev_ring` order.
+    Returns ``(di, dj, ring_end)``: offsets ``[0, ring_end[d])`` lie within
+    Chebyshev distance ``d``.
+    """
+    rings = [chebyshev_ring(d) for d in range(max_expansions + 1)]
+    di, dj = np.array([off for ring in rings for off in ring], dtype=np.int64).T
+    return _frozen(di, dj, np.cumsum([len(ring) for ring in rings]))
+
+
+class _Lines(NamedTuple):
+    """One regression line per fitted cell, in cell-number order."""
+
+    cell: np.ndarray  # cell number
+    e: np.ndarray  # expansions used
+    cx: np.ndarray
+    cy: np.ndarray
+    nx: np.ndarray
+    ny: np.ndarray
+
+
+def _fit_lines(cells: _Cells, pts_world, origin, policy: ExpansionPolicy) -> _Lines:
+    """:func:`collect_points` then :func:`fit_deming` for every cell at once."""
+    di, dj, ring_end = _search_offsets(policy.max_expansions)
+    n = len(cells.count)
+    nbr = np.full((n, len(di)), -1, dtype=np.int64)  # cells whose points are used
+    nbr[:, 0] = np.arange(n)
+    size = cells.count.copy()
+    e = np.zeros(n, dtype=np.int64)
+    for d in range(1, policy.max_expansions + 1):
+        grow = np.flatnonzero(size < 3)
+        ring = slice(ring_end[d - 1], ring_end[d])
+        found = cells.find(cells.col[grow, None] + di[ring], cells.row[grow, None] + dj[ring])
+        nbr[grow, ring] = found
+        size[grow] += np.where(found >= 0, cells.count[found], 0).sum(axis=1)
+        e[grow] = d
+    fitted = np.flatnonzero(size >= 2)
+
+    # Each fitted cell's points in collect_points order: buckets by offset,
+    # beam order within a bucket.
+    src = nbr[fitted]
+    src = src[src >= 0]
+    order = cells.hits[np.repeat(cells.start[src], cells.count[src])
+                       + _rank_in_run(cells.count[src])]
+    px, py = pts_world[order, 0], pts_world[order, 1]
+    size = size[fitted]
+    seg = np.cumsum(size) - size
+
+    # fit_deming sums the coordinates left to right (pts.mean(axis=0)) and
+    # takes np.dot of the deviations; grouping the fits by point count lets
+    # np.add.accumulate and a stacked matmul, which calls the same BLAS dot,
+    # repeat that arithmetic exactly.
+    cx, cy, sxx, syy, sxy = (np.empty(len(fitted)) for _ in range(5))
+    degenerate = np.empty(len(fitted), dtype=bool)
+    for k in np.unique(size):
+        g = np.flatnonzero(size == k)
+        idx = seg[g, None] + np.arange(k)
+        x, y = px[idx], py[idx]
+        cx[g] = np.add.accumulate(x, axis=1)[:, -1] / k
+        cy[g] = np.add.accumulate(y, axis=1)[:, -1] / k
+        dx = x - cx[g, None]
+        dy = y - cy[g, None]
+        degenerate[g] = np.max(dx * dx + dy * dy, axis=1) < DEGENERATE_EPS * DEGENERATE_EPS
+        sxx[g] = (dx[:, None, :] @ dx[:, :, None])[:, 0, 0]
+        syy[g] = (dy[:, None, :] @ dy[:, :, None])[:, 0, 0]
+        sxy[g] = (dx[:, None, :] @ dy[:, :, None])[:, 0, 0]
+    angle = 0.5 * _libm(math.atan2, 2.0 * sxy, sxx - syy)
+    nx, ny = -_libm(math.sin, angle), _libm(math.cos, angle)
+    flip = nx * (origin[0] - cx) + ny * (origin[1] - cy) < 0.0
+    nx = np.where(flip, -nx, nx)
+    ny = np.where(flip, -ny, ny)
+    ok = ~degenerate
+    return _Lines(fitted[ok], e[fitted][ok], cx[ok], cy[ok], nx[ok], ny[ok])
+
+
+@functools.lru_cache(maxsize=16)
+def _truncation_stencil(resolution: float, truncation: float):
+    """Candidate offsets of :func:`surface_update_entries`, in its loop order.
+
+    Returns ``(di, dj, priority)`` for the offsets whose center distance
+    lies within the truncation distance.
+    """
+    reach = int(math.ceil(truncation / resolution))
+    limit = truncation * (1.0 + 1e-12)
+    stencil = [(di, dj, resolution * math.hypot(di, dj))
+               for dj in range(-reach, reach + 1) for di in range(-reach, reach + 1)
+               if resolution * math.hypot(di, dj) <= limit]
+    di, dj, prio = zip(*stencil)
+    return _frozen(np.array(di), np.array(dj), np.array(prio))
+
+
+def _surface_updates(grid: SdfGrid, cells: _Cells, fit: _Lines):
+    """Resolved surface updates: (flat cell ids, f) with one entry per cell.
+
+    Builds every :func:`surface_update_entries` candidate, cell by cell in
+    stencil order, then resolves them as :func:`resolve_update_set` does.
+    """
+    geom = grid.geometry
+    res = geom.resolution
+    trunc = grid.truncation
+    di, dj, prio = _truncation_stencil(res, trunc)
+    col, row = cells.col[fit.cell, None], cells.row[fit.cell, None]
+    ccx = geom.origin_x + col * res
+    ccy = geom.origin_y + row * res
+    half = (1.0 + 0.5 * fit.e[:, None]) * res
+    tcol, trow = col + di, row + dj
+    tx = geom.origin_x + tcol * res
+    ty = geom.origin_y + trow * res
+    nx, ny = fit.nx[:, None], fit.ny[:, None]
+    sd = nx * (tx - fit.cx[:, None]) + ny * (ty - fit.cy[:, None])
+    px = tx - sd * nx
+    py = ty - sd * ny
+    keep = ((tcol >= 0) & (tcol < geom.width) & (trow >= 0) & (trow < geom.height)
+            & (ccx - half <= px) & (px <= ccx + half)
+            & (ccy - half <= py) & (py <= ccy + half))
+    target = (trow * geom.width + tcol)[keep]
+    f = np.clip(sd[keep], -trunc, trunc)
+    p = np.broadcast_to(prio, keep.shape)[keep]
+
+    # Highest priority (smallest distance) wins; exact ties are averaged.
+    # The sum starts at -0.0, the identity of addition, and runs in entry
+    # order, so it is the reference's left-to-right sum to the last bit.
+    cell, slot = np.unique(target, return_inverse=True)
+    best = np.full(len(cell), np.inf)
+    np.minimum.at(best, slot, p)
+    win = p == best[slot]
+    fsum = np.full(len(cell), -0.0)
+    np.add.at(fsum, slot[win], f[win])
+    return cell, fsum / np.bincount(slot[win], minlength=len(cell))
+
+
+# Own cell, then the eight neighbors in _neighbor_line's order, as (di, dj).
+_LINE_OFFSETS = ((0, 1, -1, 0, 0, 1, 1, -1, -1),
+                 (0, 0, 0, 1, -1, 1, -1, 1, -1))
+
+
+def _beam_lines(cells: _Cells, fit: _Lines, cols, rows):
+    """Index into ``fit`` of each hit's :func:`_neighbor_line`, or -1."""
+    line_of_cell = np.full(len(cells.count), -1, dtype=np.int64)
+    line_of_cell[fit.cell] = np.arange(len(fit.cell))
+    di, dj = np.array(_LINE_OFFSETS)
+    found = cells.find(cols[:, None] + di, rows[:, None] + dj)
+    line = np.where(found >= 0, line_of_cell[found], -1)
+    first = np.argmax(line >= 0, axis=1)  # 0 where no candidate has a line
+    return line[np.arange(len(line)), first]
+
+
+def traverse_beams(geom: GridGeometry, x0: float, y0: float, ux, uy, extent):
+    """Cells carved by many beams from one origin, in one pass.
+
+    Beam ``i`` carves exactly the cells of
+    ``kernels.traverse_free(..., x0, y0, ux[i], uy[i], extent[i])``: the
+    boundary crossings, midpoints and filters below are its expressions
+    over all beams at once. Returns (cols, rows) int64 arrays with
+    repeats: a cell appears once for every midpoint that lands in it.
+    Every extent must be positive.
+    """
+    ox, oy, res = geom.origin_x, geom.origin_y, geom.resolution
+    n = len(extent)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    beams = np.arange(n)
+    crossings = []
+    for u, p0, o in ((ux, x0, ox), (uy, y0, oy)):
+        c0 = (p0 - o) / res
+        c1 = (p0 + u * extent - o) / res
+        first = np.floor(np.minimum(c0, c1) + 0.5)
+        count = np.ceil(np.maximum(c0, c1) - 0.5) + 1.0 - first
+        count = np.where(u != 0.0, np.maximum(count, 0.0), 0.0).astype(np.int64)
+        b = np.repeat(beams, count)
+        j = _rank_in_run(count)
+        # Boundaries in travel order, so t ascends within each beam.
+        ks = first[b] + np.where(u[b] > 0.0, j, count[b] - 1 - j)
+        t = (o + (ks - 0.5) * res - p0) / u[b]
+        keep = (t >= 0.0) & (t <= extent[b])
+        crossings.append((b[keep], t[keep]))
+    (bx, tx), (by, ty) = crossings
+
+    # Merge each beam's two ascending runs between t = 0 and t = extent, as
+    # the sort in traverse_free orders them. Complex numbers compare by real
+    # part, then imaginary part, so searchsorted on beam + 1j * t counts the
+    # y-crossings of the same beam that come before each x-crossing.
+    size = np.bincount(bx, minlength=n) + np.bincount(by, minlength=n) + 2
+    end = np.cumsum(size)
+    at_x = np.arange(len(bx)) + np.searchsorted(by + 1j * ty, bx + 1j * tx) + 2 * bx + 1
+    t = np.empty(end[-1])
+    at_y = np.ones(len(t), dtype=bool)
+    at_y[at_x] = at_y[end - size] = at_y[end - 1] = False
+    t[end - size] = 0.0
+    t[end - 1] = extent
+    t[at_x] = tx
+    t[at_y] = ty
+
+    inner = np.ones(len(t) - 1, dtype=bool)
+    inner[end[:-1] - 1] = False  # no midpoint between two beams
+    tm = (0.5 * (t[:-1] + t[1:]))[inner]
+    b = np.repeat(beams, size - 1)
+    cols = np.floor((x0 + ux[b] * tm - ox) / res + 0.5).astype(np.int64)
+    rows = np.floor((y0 + uy[b] * tm - oy) / res + 0.5).astype(np.int64)
+    inb = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
+    b, cols, rows = b[inb], cols[inb], rows[inb]
+    proj = (ox + cols * res - x0) * ux[b] + (oy + rows * res - y0) * uy[b]
+    keep = (proj >= 0.0) & (proj <= extent[b])
+    return cols[keep], rows[keep]
+
+
+def _fuse_batch(grid: SdfGrid, flat, f_t, w_t: float = 1.0):
+    """Vectorized fuse of distinct cells, given as flat (row-major) indices.
+
+    Same arithmetic as fuse_cell.
+    """
+    wp = np.take(grid.W, flat).astype(np.float64)
+    fp = np.take(grid.F, flat).astype(np.float64)
     first = wp == 0.0
     f_new = np.where(first, f_t, (wp * fp + w_t * f_t) / (wp + w_t))
     w_new = np.minimum(wp + w_t, grid.w_max)
-    grid.F[rows, cols] = f_new.astype(np.float32)
-    grid.W[rows, cols] = w_new.astype(np.float32)
+    np.put(grid.F, flat, f_new.astype(np.float32))
+    np.put(grid.W, flat, w_new.astype(np.float32))

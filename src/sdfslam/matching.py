@@ -234,19 +234,14 @@ def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int = 10,
 def trim_points(grid: SdfGrid, pts: np.ndarray, pose: Pose2, threshold: float):
     """Mask of points kept for the second stage.
 
-    A point survives when the interpolated distance value at its transformed
-    location is strictly inside the threshold band and the location has
-    observed support. Points over unknown cells or outside the map count as
-    trimmed. The comparison runs at the grid's native float32 grain so that
-    saturated cells trim at the default threshold (the truncation distance).
+    A point survives when it is supported, as :func:`cost` counts it (all
+    four surrounding nodes known), and its distance F lies strictly inside
+    the threshold band, so every kept point carries a residual. The
+    comparison runs at the grid's native float32 grain so that saturated
+    cells trim at the default threshold (the truncation distance).
     """
-    geom = grid.geometry
-    f, w = kernels.bilinear_fw(
-        grid.F, grid.W, geom.origin_x, geom.origin_y, geom.resolution,
-        grid.truncation, transform_points(pose, pts),
-    )
-    inside = np.abs(f.astype(np.float32)) < np.float32(threshold)
-    return inside & (w > 0.0)
+    f, _, _, _, known = _sample(grid, transform_points(pose, pts))
+    return known & (np.abs(f.astype(np.float32)) < np.float32(threshold))
 
 
 def match_two_stage(grid: SdfGrid, scan, init: Pose2,

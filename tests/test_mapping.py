@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sdfslam import kernels
 from sdfslam.geometry import GridGeometry, Pose2, scan_to_points, transform_points
 from sdfslam.mapping import (
     FREE_SPACE_PRIORITY,
@@ -13,6 +14,7 @@ from sdfslam.mapping import (
     SdfCell,
     SdfGrid,
     UpdateEntry,
+    UpdateStats,
     chebyshev_ring,
     collect_points,
     fit_deming,
@@ -22,11 +24,19 @@ from sdfslam.mapping import (
     integrate_scan,
     resolve_update_set,
     surface_update_entries,
+    traverse_beams,
     update_range,
 )
-from sdfslam.simulate import SensorModel, World, simulate_scan, straight_wall_sweep
+from sdfslam.simulate import (
+    SensorModel,
+    World,
+    rectangle_circuit,
+    run_scenario,
+    simulate_scan,
+    straight_wall_sweep,
+)
 
-from conftest import make_grid
+from conftest import make_grid, make_square_world
 
 
 def brute_force_line_angle(pts: np.ndarray) -> float:
@@ -318,6 +328,83 @@ class TestFuseCell:
             assert ab.W == ba.W
 
 
+def _two_walls():
+    world = World(np.array([[1.5, -2.0, 1.5, 2.0], [-2.0, 1.8, 2.0, 1.8]]))
+    model = SensorModel(noise_sigma=0.003, seed=8)
+    pose = Pose2(0.1, -0.2, 0.3)
+    scan, _ = simulate_scan(world, pose, model)
+    return make_grid(half=2.5), [(scan, pose)]
+
+
+def _sparse_wall():
+    # Beams 1 degree apart on a wall 3-5 m away land one to three cells
+    # apart, so cells expand once, twice and three times.
+    world, poses = straight_wall_sweep(wall_x=3.0, half_span=4.0, poses=60)
+    scan, _ = simulate_scan(world, poses[0], SensorModel(seed=6))
+    return make_grid(half=5.0), [(scan, poses[0])]
+
+
+def _past_the_border():
+    # The grid ends on the room's walls: about half the wall hits fall
+    # just outside it, and their beams still carve.
+    pose = Pose2(0.3, -0.2, 0.5)
+    scan, _ = simulate_scan(make_square_world(2.0), pose,
+                            SensorModel(noise_sigma=0.005, seed=9))
+    return make_grid(half=2.0), [(scan, pose)]
+
+
+def _single_beam():
+    return make_grid(half=2.5), [(_single_beam_scan(1.0), Pose2(0.1, 0.2, 0.3))]
+
+
+def _axis_aligned_beam():
+    # Beam 0 points exactly along +x (uy == 0) at a wall 1.4 m away.
+    from sdfslam.geometry import LaserScan
+
+    angles = 0.01 * np.arange(60)
+    scan = LaserScan(0.0, 0.01, 1.4 / np.cos(angles), 0.05, 10.0)
+    return make_grid(half=2.5), [(scan, Pose2(0.1, -0.2, 0.0))]
+
+
+def _between_two_fits():
+    # An unfitted cell between two fitted ones whose lines tilt opposite
+    # ways: its beam must take the +x neighbor's line, as _neighbor_line
+    # prefers it.
+    from sdfslam.geometry import LaserScan
+
+    pose = Pose2(1.0, -1.0, 0.0)
+    pts = np.array([(0.96, 0.015), (0.975, 0.025), (0.99, 0.035), (1.025, 0.025),
+                    (1.06, 0.035), (1.075, 0.025), (1.09, 0.015)])
+    a = np.arctan2(pts[:, 1] - pose.y, pts[:, 0] - pose.x)
+    order = np.argsort(a)
+    r = np.hypot(pts[:, 0] - pose.x, pts[:, 1] - pose.y)
+    scan = LaserScan(float(a[order][0]), 1e-9, r[order], 0.01, 10.0)
+    scan.beam_angles = lambda: a[order]  # irregular angles for this case
+    return make_grid(half=2.5), [(scan, pose)]
+
+
+def _circuit_stretch():
+    # Twenty frames of the benchmark lap, in one grid the size of a
+    # benchmark submap (200 cells) centered on the room.
+    world, script, model, rate = rectangle_circuit(noise_sigma=0.005, seed=7)
+    records = run_scenario(world, script, model, rate)[:20]
+    half = 0.5 * 199 * 0.05
+    grid = SdfGrid.unknown(GridGeometry(-half, -half, 0.05, 200, 200), 0.06, 10.0)
+    return grid, [(r.scan, r.gt) for r in records]
+
+
+COMPOSITION_CASES = {
+    "two-walls": (_two_walls, ExpansionPolicy(3)),
+    "sparse-wall-no-expansion": (_sparse_wall, ExpansionPolicy(0)),
+    "sparse-wall-three-expansions": (_sparse_wall, ExpansionPolicy(3)),
+    "hits-past-the-border": (_past_the_border, ExpansionPolicy(3)),
+    "single-beam": (_single_beam, ExpansionPolicy(3)),
+    "between-two-fits": (_between_two_fits, ExpansionPolicy(0)),
+    "axis-aligned-beam": (_axis_aligned_beam, ExpansionPolicy(3)),
+    "circuit-20-frames": (_circuit_stretch, ExpansionPolicy(3)),
+}
+
+
 class TestIntegrateScan:
     def test_empty_scan_unchanged(self):
         from sdfslam.geometry import LaserScan
@@ -427,26 +514,127 @@ class TestIntegrateScan:
         assert np.array_equal(g_on.F, g_off.F)
         assert np.array_equal(g_on.W, g_off.W)
 
-    def test_matches_operation_composition(self):
+    @pytest.mark.parametrize("case", sorted(COMPOSITION_CASES))
+    def test_matches_operation_composition(self, case):
         # The fused fast path must equal the literal pipeline: collect, fit,
         # project, carve, resolve, fuse.
-        world = World(np.array([[1.5, -2.0, 1.5, 2.0], [-2.0, 1.8, 2.0, 1.8]]))
-        model = SensorModel(noise_sigma=0.003, seed=8)
-        pose = Pose2(0.1, -0.2, 0.3)
-        scan, _ = simulate_scan(world, pose, model)
+        build, policy = COMPOSITION_CASES[case]
+        fast, frames = build()
+        slow = fast.copy()
+        for scan, pose in frames:
+            stats = integrate_scan(fast, scan, pose, policy, clip=True)
+            assert stats == _integrate_by_ops(slow, scan, pose, policy)
 
-        fast = make_grid(half=2.5)
-        integrate_scan(fast, scan, pose, ExpansionPolicy(3), clip=True)
+            assert np.array_equal(fast.F, slow.F)
+            assert np.array_equal(fast.W, slow.W)
 
-        slow = make_grid(half=2.5)
-        _integrate_by_ops(slow, scan, pose, ExpansionPolicy(3))
+    @pytest.mark.parametrize("case", sorted(COMPOSITION_CASES))
+    def test_passes_match_per_cell_helpers(self, case):
+        # The float32 map hides last-bit differences, so compare the array
+        # passes' float64 intermediates with the per-cell helpers directly:
+        # each fitted line, each resolved surface value, each beam's line.
+        from sdfslam.mapping import (
+            _beam_lines, _bucket_hits, _fit_lines, _neighbor_line, _surface_updates)
 
-        assert np.array_equal(fast.F, slow.F)
-        assert np.array_equal(fast.W, slow.W)
+        build, policy = COMPOSITION_CASES[case]
+        grid, frames = build()
+        scan, pose = frames[0]
+        geom = grid.geometry
+        world_pts = transform_points(pose, scan_to_points(scan))
+        cols, rows = geom.world_to_cells(world_pts)
+        inb = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
+        hits = {}
+        for k in np.flatnonzero(inb):
+            hits.setdefault((int(cols[k]), int(rows[k])), []).append(
+                (world_pts[k, 0], world_pts[k, 1]))
+        origin = (pose.x, pose.y)
+        lines, expansions, entries = {}, {}, []
+        for cell in hits:
+            collected = collect_points(cell, hits, policy)
+            if collected is None:
+                continue
+            try:
+                lines[cell] = fit_deming(collected[0], origin)
+            except DegenerateFit:
+                continue
+            expansions[cell] = collected[1]
+            entries.extend(surface_update_entries(cell, lines[cell], collected[1],
+                                                  grid, origin))
+
+        cells = _bucket_hits(geom, cols, rows, inb)
+        fit = _fit_lines(cells, world_pts, origin, policy)
+        fitted = list(zip(cells.col[fit.cell].tolist(), cells.row[fit.cell].tolist()))
+        assert fitted == list(lines)
+        for k, cell in enumerate(fitted):
+            line = lines[cell]
+            assert (fit.cx[k], fit.cy[k]) == line.point
+            assert (fit.nx[k], fit.ny[k]) == line.normal
+            assert fit.e[k] == expansions[cell]
+
+        flat, f = _surface_updates(grid, cells, fit)
+        want = {en.cell[1] * geom.width + en.cell[0]: en.f
+                for en in resolve_update_set(entries)}
+        got = dict(zip(flat.tolist(), f.tolist()))
+        assert got == want
+        assert all(math.copysign(1.0, got[c]) == math.copysign(1.0, want[c]) for c in want)
+
+        beam_line = _beam_lines(cells, fit, cols, rows)
+        for k in range(len(world_pts)):
+            line = _neighbor_line(lines, geom.world_to_cell(*world_pts[k]))
+            assert (None if beam_line[k] < 0 else fitted[beam_line[k]]) == (
+                None if line is None else next(c for c in lines if lines[c] is line))
+
+
+class TestTraverseBeams:
+    """The batched traversal carves the union of the per-beam kernel's cells."""
+
+    GEOM = GridGeometry(-1.0, -0.5, 0.05, 40, 30)
+
+    @staticmethod
+    def _per_beam(geom, x0, y0, ux, uy, extent):
+        cells = set()
+        for u, v, ext in zip(ux, uy, extent):
+            cols, rows = kernels.traverse_free(
+                geom.origin_x, geom.origin_y, geom.resolution, geom.width,
+                geom.height, x0, y0, float(u), float(v), float(ext))
+            cells.update(zip(cols.tolist(), rows.tolist()))
+        return cells
+
+    @pytest.mark.parametrize("origin", [
+        (-0.013, 0.021),  # inside a cell
+        (-1.0 + 7.5 * 0.05, 0.107),  # on a column boundary
+        (-1.0 + 7.5 * 0.05, -0.5 + 4.5 * 0.05),  # on a cell corner
+        (-2.0, 2.0),  # outside the grid
+    ])
+    def test_union_of_per_beam_cells(self, origin):
+        rng = np.random.default_rng(36)
+        a = np.concatenate((rng.uniform(-math.pi, math.pi, 200),
+                            [0.0, math.pi / 4, -3 * math.pi / 4]))
+        ux, uy = np.cos(a), np.sin(a)
+        # Exactly axis-aligned beams, both signs.
+        ux = np.concatenate((ux, [1.0, -1.0, 0.0, 0.0]))
+        uy = np.concatenate((uy, [0.0, 0.0, 1.0, -1.0]))
+        # Short beams stay in a cell or two; long ones leave the grid.
+        extent = rng.uniform(0.001, 3.0, len(ux))
+        extent[::7] = 0.05 * rng.integers(1, 40, len(extent[::7]))
+        x0, y0 = origin
+        cols, rows = traverse_beams(self.GEOM, x0, y0, ux, uy, extent)
+        want = self._per_beam(self.GEOM, x0, y0, ux, uy, extent)
+        assert set(zip(cols.tolist(), rows.tolist())) == want
+        assert want  # the scenario carves something
+
+    def test_no_beams(self):
+        cols, rows = traverse_beams(self.GEOM, 0.0, 0.0, np.empty(0), np.empty(0),
+                                    np.empty(0))
+        assert len(cols) == 0 and len(rows) == 0
 
 
 def _integrate_by_ops(grid, scan, pose, policy):
-    """Literal composition of the public operations, for equivalence checks."""
+    """Literal composition of the public operations, for equivalence checks.
+
+    Returns the counts this composition implies: resolved surface and
+    free-space entries, and cells given up by the point search or the fit.
+    """
     from sdfslam.mapping import _neighbor_line
 
     geom = grid.geometry
@@ -463,14 +651,17 @@ def _integrate_by_ops(grid, scan, pose, policy):
     origin = (pose.x, pose.y)
     lines = {}
     entries = []
+    skipped = 0
     for cell in hits:
         res = collect_points(cell, hits, policy)
         if res is None:
+            skipped += 1
             continue
         cell_pts, e = res
         try:
             line = fit_deming(cell_pts, origin)
         except DegenerateFit:
+            skipped += 1
             continue
         lines[cell] = line
         entries.extend(surface_update_entries(cell, line, e, grid, origin))
@@ -491,8 +682,12 @@ def _integrate_by_ops(grid, scan, pose, policy):
                                                 grid.truncation)
 
     entries.extend(free_space_entries(scan, pose, grid, extents))
-    for en in resolve_update_set(entries):
+    resolved = resolve_update_set(entries)
+    for en in resolved:
         col, row = en.cell
         cell = fuse_cell(grid.cell(col, row), en.f, en.weight, grid.w_max)
         grid.F[row, col] = np.float32(cell.F)
         grid.W[row, col] = np.float32(cell.W)
+    carved = sum(en.priority == FREE_SPACE_PRIORITY for en in resolved)
+    return UpdateStats(cells_updated=len(resolved) - carved, cells_skipped=skipped,
+                       cells_carved=carved)

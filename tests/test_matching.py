@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sdfslam.geometry import GridGeometry, Pose2, compose, scan_to_points
-from sdfslam.mapping import SdfGrid
+from sdfslam.geometry import GridGeometry, Pose2, compose, inverse, scan_to_points
+from sdfslam.mapping import ExpansionPolicy, SdfGrid
 from sdfslam.matching import (
     MatchConfig,
     SingularHessian,
@@ -16,6 +16,7 @@ from sdfslam.matching import (
     sample_sdf,
 )
 from sdfslam.simulate import SensorModel, simulate_scan
+from sdfslam.submaps import SubmapCollection
 
 from conftest import build_room_map, make_square_world
 
@@ -253,6 +254,33 @@ class TestMatchTwoStage:
         keep2 = trim_points(room_map, pts, r2.pose, room_map.truncation)
         changed = np.count_nonzero(keep1 != keep2)
         assert changed <= max(2, 0.01 * len(pts))
+
+    def test_every_used_point_has_a_residual(self):
+        # A young submap's observed space ends close to its walls, so some
+        # points of a new scan sit next to unknown nodes. Such a point has
+        # no residual, so the trim must not count it as used.
+        from sdfslam.matching import trim_points
+
+        world = make_square_world()
+        model = SensorModel(noise_sigma=0.005, seed=70)
+        coll = SubmapCollection()
+        for k, pose in enumerate([Pose2(0.0, 0.0, 0.0), Pose2(0.1, 0.05, 0.2),
+                                  Pose2(0.2, 0.1, 0.4)]):
+            scan, _ = simulate_scan(world, pose, model, scan_index=k)
+            coll.add_scan(scan, pose, ExpansionPolicy.for_resolution(coll.resolution))
+        target = coll.matching_target()
+        scan, _ = simulate_scan(world, Pose2(0.3, 0.15, 0.6), model, scan_index=3)
+        init = compose(inverse(target.pose), Pose2(0.3, 0.15, 0.6))
+        cfg = MatchConfig.for_grid(target.grid)
+        pts = scan_to_points(scan)
+
+        stage1 = gauss_newton(target.grid, pts, init, cfg.max_iters_stage1,
+                              cfg.convergence_eps, cfg.huber_delta)
+        keep = trim_points(target.grid, pts, stage1.pose, cfg.trim_threshold)
+        _, residuals = cost(target.grid, pts[keep], stage1.pose, cfg.huber_delta)
+        result = match_two_stage(target.grid, scan, init, cfg)
+        assert result.points_used == np.count_nonzero(np.isfinite(residuals))
+        assert np.isfinite(residuals).all()
 
 
 class TestPredictPose:
