@@ -514,10 +514,17 @@ class TestIntegrateScan:
         assert np.array_equal(g_on.F, g_off.F)
         assert np.array_equal(g_on.W, g_off.W)
 
-    @pytest.mark.parametrize("case", sorted(COMPOSITION_CASES))
-    def test_matches_operation_composition(self, case):
+    def test_matches_operation_composition(self):
         # The fused fast path must equal the literal pipeline: collect, fit,
         # project, carve, resolve, fuse.
+        self._check_composition("two-walls")
+
+    @pytest.mark.parametrize("case", sorted(set(COMPOSITION_CASES) - {"two-walls"}))
+    def test_matches_operation_composition_on(self, case):
+        self._check_composition(case)
+
+    @staticmethod
+    def _check_composition(case):
         build, policy = COMPOSITION_CASES[case]
         fast, frames = build()
         slow = fast.copy()
