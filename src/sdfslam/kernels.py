@@ -1,8 +1,4 @@
-"""NumPy reference implementation of the sampling and traversal kernels.
-
-This module defines the kernel contract; the compiled twin in ``_core.pyx``
-mirrors the exact arithmetic (same expressions, same clamping order) so both
-backends produce identical results.
+"""Sampling and traversal kernels over SDF grids, in NumPy.
 
 Grid arrays are row-major float32 with shape (height, width), indexed
 [row, col]. Cell (0, 0) is centered at (ox, oy) and cell (col, row) at
@@ -14,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Printed by the benchmark beside every result; nothing in the package reads it.
+BACKEND = "python"
+
 
 def _gather_nodes(arr, i0, j0):
     a00 = arr[j0, i0]
@@ -23,6 +22,7 @@ def _gather_nodes(arr, i0, j0):
     return a00, a10, a01, a11
 
 
+# No caller in the package: the benchmark traces it and the tests check it.
 def bilinear_wf(F, W, ox, oy, res, trunc, wmax, pts):
     """Sample the weighted-distance field W*F with its analytic gradient.
 
@@ -172,16 +172,20 @@ def _catmull_rom_weights(t):
 
 
 def bicubic_fw(F, W, ox, oy, res, trunc, pts):
-    """Catmull-Rom bicubic sample of F plus bilinear sample of W.
+    """Resample F and W at points, trusting only known cells.
 
-    Boundary rows/cols of the 4x4 patch are index-clamped. A sample is valid
-    only when the point is interior and its four nearest cells are all known
-    (W > 0); anything else reports invalid. The twelve outer taps are read
-    as stored, so where they reach unknown cells they blend in the +trunc
-    those cells hold; callers that must not bend a surface toward unknown
-    space check the whole patch themselves. The interpolated F is clamped to
-    +-trunc because the cubic can overshoot; W uses bilinear so it stays
-    within [0, max(W)].
+    A sample is valid when the point is interior and every one of its four
+    nearest cells that carries a nonzero bilinear weight is known (W > 0);
+    anything else reports invalid. This function alone decides which taps
+    a valid sample may use:
+
+    - when its whole 4x4 patch (rows and cols index-clamped at the borders)
+      is known, F is the Catmull-Rom bicubic value, clamped to +-trunc
+      because the cubic can overshoot;
+    - otherwise F is :func:`bilinear_fw`'s value, so the +trunc stored in
+      unknown cells never bends a surface.
+
+    W is always the bilinear value, so it stays within [0, max(W)].
 
     Returns (f_values, w_values, valid_mask).
     """
@@ -199,41 +203,51 @@ def bicubic_fw(F, W, ox, oy, res, trunc, pts):
     if not inside.any():
         return fv, wv, valid
 
-    ui, vi = u[inside], v[inside]
-    i1 = np.floor(ui).astype(np.int64)
-    j1 = np.floor(vi).astype(np.int64)
-    tu = ui - i1
-    tv = vi - j1
+    # Taps by flat index into the edge-padded grids: padded [j + 1, i + 1]
+    # holds cell [j, i] with both indices clamped to the grid, so tap
+    # (di, dj) of the patch around cell (i1, j1) is at base + dj*stride + di.
+    stride = w + 3
+    Fp = np.pad(F, ((1, 2), (1, 2)), mode="edge").ravel()
+    Wp = np.pad(W, ((1, 2), (1, 2)), mode="edge").ravel()
+    kp = Wp > 0.0
 
-    ia = np.minimum(i1, w - 1)
-    ib = np.minimum(i1 + 1, w - 1)
-    ja = np.minimum(j1, h - 1)
-    jb = np.minimum(j1 + 1, h - 1)
-    known = (
-        (W[ja, ia] > 0.0) & (W[ja, ib] > 0.0) & (W[jb, ia] > 0.0) & (W[jb, ib] > 0.0)
+    idx = np.flatnonzero(inside)
+    i1 = np.floor(u[idx]).astype(np.int64)
+    j1 = np.floor(v[idx]).astype(np.int64)
+    tu = u[idx] - i1
+    tv = v[idx] - j1
+    base = j1 * stride + i1
+    a = base + stride + 1  # the nearest node, cell (i1, j1)
+    # A nearest node must be known only where its bilinear weight is
+    # nonzero, so a sample on a known node's row or column stays valid.
+    right, up = tu > 0.0, tv > 0.0
+    known = (kp[a] & (kp[a + 1] | ~right) & (kp[a + stride] | ~up)
+             & (kp[a + stride + 1] | ~(right & up)))
+    idx, tu, tv, base, a = idx[known], tu[known], tv[known], base[known], a[known]
+
+    wa = Wp[a].astype(np.float64)
+    wb = Wp[a + 1].astype(np.float64)
+    wc = Wp[a + stride].astype(np.float64)
+    wd = Wp[a + stride + 1].astype(np.float64)
+    wv[idx] = (1.0 - tv) * ((1.0 - tu) * wa + tu * wb) + tv * (
+        (1.0 - tu) * wc + tu * wd
     )
+    valid[idx] = True
+
+    patch = (np.arange(4)[:, None] * stride + np.arange(4)).ravel()
+    full = kp[base[:, None] + patch].all(axis=1)
+    if not full.all():
+        part = idx[~full]
+        fv[part], _ = bilinear_fw(F, W, ox, oy, res, trunc, pts[part])
+        idx, base, tu, tv = idx[full], base[full], tu[full], tv[full]
 
     wx = _catmull_rom_weights(tu)
     wy = _catmull_rom_weights(tv)
-    acc = np.zeros(len(ui), dtype=np.float64)
+    acc = np.zeros(len(idx), dtype=np.float64)
     for dj in range(4):
-        jj = np.clip(j1 - 1 + dj, 0, h - 1)
-        row = np.zeros(len(ui), dtype=np.float64)
+        row = np.zeros(len(idx), dtype=np.float64)
         for di in range(4):
-            ii = np.clip(i1 - 1 + di, 0, w - 1)
-            row += wx[di] * F[jj, ii].astype(np.float64)
+            row += wx[di] * Fp[base + (dj * stride + di)].astype(np.float64)
         acc += wy[dj] * row
-    acc = np.minimum(np.maximum(acc, -trunc), trunc)
-
-    wa = W[ja, ia].astype(np.float64)
-    wb = W[ja, ib].astype(np.float64)
-    wc = W[jb, ia].astype(np.float64)
-    wd = W[jb, ib].astype(np.float64)
-    wlin = (1.0 - tv) * ((1.0 - tu) * wa + tu * wb) + tv * ((1.0 - tu) * wc + tu * wd)
-
-    idx = np.flatnonzero(inside)
-    ok = idx[known]
-    fv[ok] = acc[known]
-    wv[ok] = wlin[known]
-    valid[ok] = True
+    fv[idx] = np.minimum(np.maximum(acc, -trunc), trunc)
     return fv, wv, valid

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .geometry import Pose2, normalize_angle, scan_to_points, transform_points
 from .mapping import SdfGrid
 
@@ -83,22 +82,6 @@ class MatchResult:
     points_used: int
     points_trimmed: int
     converged: bool
-
-
-def sample_sdf(grid: SdfGrid, p) -> tuple[float, tuple[float, float]]:
-    """Weighted distance W*F at one point with its analytic gradient.
-
-    This is the ``kernels.bilinear_wf`` field: bilinear over the four
-    surrounding cell centers, with every unknown node replaced by
-    w_max * truncation, and that same constant with zero gradient outside
-    the interior. It is not the matching residual (see :func:`cost`).
-    """
-    geom = grid.geometry
-    val, gx, gy = kernels.bilinear_wf(
-        grid.F, grid.W, geom.origin_x, geom.origin_y, geom.resolution,
-        grid.truncation, grid.w_max, np.asarray([p], dtype=np.float64),
-    )
-    return float(val[0]), (float(gx[0]), float(gy[0]))
 
 
 def _sample(grid: SdfGrid, world: np.ndarray):

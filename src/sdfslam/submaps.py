@@ -143,47 +143,17 @@ def merged_bounds(submaps) -> GridGeometry:
     return GridGeometry(x0 + 0.5 * res, y0 + 0.5 * res, res, width, height)
 
 
-def sample_bicubic(grid: SdfGrid, p):
-    """Distance and weight of a submap at an off-center point.
-
-    Catmull-Rom bicubic over the 4x4 neighborhood of F (boundary rows/cols
-    clamped, result clamped to the truncation band) and bilinear over W.
-    Returns (F, W), or None when the point lacks a full one-cell margin of
-    known support.
-    """
-    geom = grid.geometry
-    f, w, valid = kernels.bicubic_fw(
-        grid.F, grid.W, geom.origin_x, geom.origin_y, geom.resolution,
-        grid.truncation, np.asarray([p], dtype=np.float64),
-    )
-    if not valid[0]:
-        return None
-    return float(f[0]), float(w[0])
-
-
-def _full_support(W: np.ndarray) -> np.ndarray:
-    """Cells whose whole 4x4 bicubic patch is known.
-
-    Entry [j, i] is true when W > 0 on rows j-1..j+2 and cols i-1..i+2,
-    index-clamped at the borders as ``kernels.bicubic_fw`` clamps them.
-    """
-    h, w = W.shape
-    k = np.pad(W > 0.0, ((1, 2), (1, 2)), mode="edge")
-    cols = k[:, :w] & k[:, 1:w + 1] & k[:, 2:w + 2] & k[:, 3:w + 3]
-    return cols[:h] & cols[1:h + 1] & cols[2:h + 2] & cols[3:h + 3]
-
-
 def merge_submaps(submaps) -> MergedMap:
     """Fuse finished submaps into one integrated map.
 
     Submaps are folded in id order. For every merged cell inside a submap's
     transformed footprint, the submap is resampled at the corresponding
     point; the distance values fuse by weighted mean and the weight becomes
-    the maximum of the two. Samples without known support (one of the four
-    nearest cells unknown) are skipped so unknown regions never dilute
-    another submap's surface. A sample whose 4x4 bicubic patch reaches into
-    unknown cells takes the bilinear F of its four known cells instead, so
-    the +truncation stored in unknown cells never bends a surface.
+    the maximum of the two. Which cells a sample may read is decided by
+    ``kernels.bicubic_fw`` alone: samples it reports invalid (a nearest cell
+    unknown) are skipped so unknown regions never dilute another submap's
+    surface, and a sample whose 4x4 patch reaches into unknown cells gets
+    the bilinear F of its known cells rather than the bicubic one.
     """
     submaps = sorted(submaps, key=lambda s: s.id)
     for sm in submaps:
@@ -216,16 +186,8 @@ def merge_submaps(submaps) -> MergedMap:
         )
         if not valid.any():
             continue
-        vc, vr, local = cols[valid], rows[valid], local[valid]
+        vc, vr = cols[valid], rows[valid]
         fb, wb = fb[valid], wb[valid]
-        i1 = np.floor((local[:, 0] - sgeom.origin_x) / sgeom.resolution).astype(np.int64)
-        j1 = np.floor((local[:, 1] - sgeom.origin_y) / sgeom.resolution).astype(np.int64)
-        partial = ~_full_support(sm.grid.W)[j1, i1]
-        if partial.any():
-            fb[partial], _ = kernels.bilinear_fw(
-                sm.grid.F, sm.grid.W, sgeom.origin_x, sgeom.origin_y,
-                sgeom.resolution, sm.grid.truncation, local[partial],
-            )
         fm = merged.F[vr, vc].astype(np.float64)
         wm = merged.W[vr, vc].astype(np.float64)
         fused = np.where(wm == 0.0, fb, (wm * fm + wb * fb) / (wm + wb))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sdfslam import kernels
 from sdfslam.geometry import GridGeometry, Pose2, compose, inverse, scan_to_points
 from sdfslam.mapping import ExpansionPolicy, SdfGrid
 from sdfslam.matching import (
@@ -13,7 +14,6 @@ from sdfslam.matching import (
     gauss_newton,
     match_two_stage,
     predict_pose,
-    sample_sdf,
 )
 from sdfslam.simulate import SensorModel, simulate_scan
 from sdfslam.submaps import SubmapCollection
@@ -30,25 +30,33 @@ def _uniform_grid(value=0.02, weight=4.0, n=30):
 
 
 class TestSampleSdf:
+    """``kernels.bilinear_wf``, the weighted field W*F, on an SdfGrid."""
+
+    @staticmethod
+    def _sample(grid, pts):
+        geom = grid.geometry
+        return kernels.bilinear_wf(grid.F, grid.W, geom.origin_x, geom.origin_y,
+                                   geom.resolution, grid.truncation, grid.w_max,
+                                   np.asarray(pts, dtype=np.float64))
+
     def test_cell_center_value(self):
         grid = _uniform_grid()
         grid.F[10, 10] = 0.05
         grid.W[10, 10] = 3.0
-        val, _ = sample_sdf(grid, (0.5, 0.5))
-        assert val == pytest.approx(0.15, abs=1e-7)
+        val, _, _ = self._sample(grid, [(0.5, 0.5)])
+        assert val[0] == pytest.approx(0.15, abs=1e-7)
 
     def test_uniform_gradient_zero(self):
         grid = _uniform_grid()
         rng = np.random.default_rng(40)
-        for _ in range(20):
-            _, (gx, gy) = sample_sdf(grid, tuple(rng.uniform(0.1, 1.3, 2)))
-            assert gx == 0.0 and gy == 0.0
+        _, gx, gy = self._sample(grid, rng.uniform(0.1, 1.3, (20, 2)))
+        assert np.all(gx == 0.0) and np.all(gy == 0.0)
 
     def test_outside_saturates(self):
         grid = _uniform_grid()
-        val, (gx, gy) = sample_sdf(grid, (-1.0, 0.5))
-        assert val == grid.w_max * grid.truncation
-        assert gx == 0.0 and gy == 0.0
+        val, gx, gy = self._sample(grid, [(-1.0, 0.5)])
+        assert val[0] == grid.w_max * grid.truncation
+        assert gx[0] == 0.0 and gy[0] == 0.0
 
 
 class TestCost:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sdfslam import kernels
 from sdfslam.geometry import GridGeometry, Pose2, compose, inverse, transform_point
 from sdfslam.mapping import ExpansionPolicy, SdfGrid
 from sdfslam.matching import MatchConfig, match_two_stage
@@ -16,7 +17,6 @@ from sdfslam.submaps import (
     merge_submaps,
     merged_bounds,
     pure_localize,
-    sample_bicubic,
 )
 
 from conftest import build_room_map, make_square_world
@@ -132,6 +132,15 @@ class TestMergedBounds:
 
 
 class TestSampleBicubic:
+    """``kernels.bicubic_fw``, the merge's resampler, on a submap grid."""
+
+    @staticmethod
+    def _sample(grid, pts):
+        geom = grid.geometry
+        return kernels.bicubic_fw(grid.F, grid.W, geom.origin_x, geom.origin_y,
+                                  geom.resolution, grid.truncation,
+                                  np.asarray(pts, dtype=np.float64))
+
     def test_cell_center_exact(self):
         sm = _known_submap()
         g = sm.grid
@@ -139,23 +148,23 @@ class TestSampleBicubic:
         g.F[:] = rng.uniform(-0.05, 0.05, g.F.shape).astype(np.float32)
         col, row = 20, 17
         p = g.geometry.cell_to_world(col, row)
-        f, w = sample_bicubic(g, p)
-        assert f == pytest.approx(float(g.F[row, col]), abs=1e-12)
+        f, w, valid = self._sample(g, [p])
+        assert valid[0]
+        assert f[0] == pytest.approx(float(g.F[row, col]), abs=1e-12)
 
     def test_constant_field(self):
         sm = _known_submap(fill_f=0.013)
         rng = np.random.default_rng(62)
-        for _ in range(30):
-            p = rng.uniform(-0.8, 0.8, 2)
-            f, w = sample_bicubic(sm.grid, p)
-            assert f == pytest.approx(float(np.float32(0.013)), abs=1e-9)
+        f, w, valid = self._sample(sm.grid, rng.uniform(-0.8, 0.8, (30, 2)))
+        assert np.all(valid)
+        assert np.allclose(f, float(np.float32(0.013)), rtol=0.0, atol=1e-9)
 
     def test_outside_support_none(self):
         sm = _known_submap()
         sm.grid.W[:] = 0.0
-        assert sample_bicubic(sm.grid, (0.0, 0.0)) is None
+        assert not self._sample(sm.grid, [(0.0, 0.0)])[2][0]
         sm2 = _known_submap()
-        assert sample_bicubic(sm2.grid, (99.0, 0.0)) is None
+        assert not self._sample(sm2.grid, [(99.0, 0.0)])[2][0]
 
     def test_linear_ramp(self):
         sm = _known_submap()
@@ -165,12 +174,12 @@ class TestSampleBicubic:
         g.F[:] = (0.0004 * ii - 0.0007 * jj).astype(np.float32)
         rng = np.random.default_rng(63)
         geom = g.geometry
-        for _ in range(50):
-            p = rng.uniform(-0.7, 0.7, 2)
-            f, _ = sample_bicubic(g, p)
-            u = (p[0] - geom.origin_x) / geom.resolution
-            v = (p[1] - geom.origin_y) / geom.resolution
-            assert f == pytest.approx(0.0004 * u - 0.0007 * v, abs=5e-7)
+        p = rng.uniform(-0.7, 0.7, (50, 2))
+        f, _, valid = self._sample(g, p)
+        assert np.all(valid)
+        u = (p[:, 0] - geom.origin_x) / geom.resolution
+        v = (p[:, 1] - geom.origin_y) / geom.resolution
+        assert np.allclose(f, 0.0004 * u - 0.0007 * v, rtol=0.0, atol=5e-7)
 
 
 class TestMerge:
@@ -240,12 +249,17 @@ class TestMerge:
         assert float(merged.grid.W.max()) <= w_caps + 1e-6
         assert float(merged.grid.W.max()) <= merged.grid.w_max
 
-    def test_off_lattice_wall_zero_crossing(self):
-        # A wall at local x = 0.037 with the known band ending one cell
-        # behind it; the cells beyond hold the unknown +truncation. Merged
-        # off the submap's lattice, the surface must stay where it was.
+    @staticmethod
+    def _wall_offsets(pose):
+        """Zero crossings of a merged wall band, as offsets from the wall.
+
+        A wall at local x = 0.037 with the known band ending one cell behind
+        it; the cells beyond hold the unknown +truncation. The band is merged
+        alone at ``pose`` and every sign change between two known neighbours
+        along a merged row is mapped back to local x.
+        """
         wall = 0.037
-        sm = _known_submap(pose=Pose2(0.021, -0.017, 0.3))
+        sm = _known_submap(pose=pose)
         g = sm.grid
         x = g.geometry.origin_x + np.arange(g.geometry.width) * g.geometry.resolution
         band = x <= wall + g.geometry.resolution
@@ -259,7 +273,6 @@ class TestMerge:
         offsets = []
         for row in range(geom.height):
             f, w = mg.F[row].astype(np.float64), mg.W[row]
-            # Sign changes between two known neighbors along the merged row.
             cross = np.flatnonzero((w[:-1] > 0) & (w[1:] > 0)
                                    & (np.sign(f[:-1]) != np.sign(f[1:])))
             for c in cross:
@@ -267,8 +280,20 @@ class TestMerge:
                 p = (geom.origin_x + (c + t) * geom.resolution,
                      geom.origin_y + row * geom.resolution)
                 offsets.append(transform_point(inverse(sm.pose), p)[0] - wall)
+        return np.asarray(offsets)
+
+    def test_off_lattice_wall_zero_crossing(self):
+        # Merged off the submap's lattice, the surface must stay where it was.
+        offsets = self._wall_offsets(Pose2(0.021, -0.017, 0.3))
         assert len(offsets) >= 10
         assert np.max(np.abs(offsets)) < 1e-3
+
+    def test_on_lattice_wall_zero_crossing(self):
+        # Merged on the submap's lattice, the last known column lies under
+        # merged cell centers and must be kept, so the wall stays where it was.
+        offsets = self._wall_offsets(Pose2(0.02, 0.01, 0.0))
+        assert len(offsets) >= 10
+        assert np.max(np.abs(offsets)) < 1e-6
 
 
 @pytest.fixture(scope="module")
