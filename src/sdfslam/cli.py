@@ -10,9 +10,11 @@ exit 2, runtime errors exit 1 with a one-line diagnostic.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .evaluate import TimingStats, evaluate_trajectory
@@ -26,25 +28,41 @@ from .submaps import MergedMap, merge_submaps, pure_localize
 BUILTIN_SCENARIOS = ("rectangle-circuit",)
 
 
+def _default(func, name: str):
+    """The default value of ``func``'s parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
+
+
 def _add_map_flags(p: argparse.ArgumentParser):
-    p.add_argument("--resolution", type=float, default=0.05, help="cell size, meters")
-    p.add_argument("--truncation", type=float, default=0.06,
+    p.add_argument("--resolution", type=float, default=SlamParams.resolution,
+                   help="cell size, meters")
+    p.add_argument("--truncation", type=float, default=SlamParams.truncation,
                    help="distance band half-width, meters")
-    p.add_argument("--w-max", type=float, default=10.0, help="weight cap")
-    p.add_argument("--max-expansions", type=int, default=None,
+    p.add_argument("--w-max", type=float, default=SlamParams.w_max, help="weight cap")
+    p.add_argument("--max-expansions", type=int, default=SlamParams.max_expansions,
                    help="neighbor-ring budget (default: by resolution)")
 
 
 def _add_match_flags(p: argparse.ArgumentParser):
-    p.add_argument("--iters1", type=int, default=10, help="stage-1 iteration cap")
-    p.add_argument("--iters2", type=int, default=20, help="stage-2 iteration cap")
-    p.add_argument("--trim", type=float, default=None,
+    p.add_argument("--trim", dest="trim_threshold", type=float,
+                   default=MatchConfig.trim_threshold,
                    help="stage-2 trim threshold, meters (default: truncation)")
-    p.add_argument("--huber-delta", type=float, default=None,
+    p.add_argument("--huber-delta", type=float, default=MatchConfig.huber_delta,
                    help="Huber scale on the distance residual, meters "
                         "(default: truncation/6)")
-    p.add_argument("--eps", type=float, default=1e-6,
+    p.add_argument("--eps", dest="convergence_eps", type=float,
+                   default=MatchConfig.convergence_eps,
                    help="relative cost-change convergence threshold")
+
+
+def _from_flags(cls, args, **given):
+    """``cls`` built from ``given`` and from every flag whose dest names a field.
+
+    Each settings flag's dest is the field it sets, so its default is read
+    from ``cls`` and is written nowhere else.
+    """
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**flags, **given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,17 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p.add_argument("--noise-sigma", type=float, default=None)
     p.add_argument("--outlier-rate", type=float, default=None)
-    p.add_argument("--scans", type=int, default=400,
-                   help="frame count for builtin scenarios")
+    p.add_argument("--scans", type=int, default=None,
+                   help="frame count for builtin scenarios (default: "
+                        f"{_default(rectangle_circuit, 'scans')})")
 
     p = sub.add_parser("slam", help="build submaps and a merged map from a log")
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--out-dir", required=True, type=Path)
     _add_map_flags(p)
+    p.add_argument("--iters1", dest="max_iters_stage1", type=int,
+                   default=MatchConfig.max_iters_stage1, help="stage-1 iteration cap")
+    p.add_argument("--iters2", dest="max_iters_stage2", type=int,
+                   default=MatchConfig.max_iters_stage2, help="stage-2 iteration cap")
     _add_match_flags(p)
-    p.add_argument("--submap-scans", type=int, default=50,
+    p.add_argument("--submap-scans", type=int, default=SlamParams.submap_scans,
                    help="scans per submap before it is finished")
-    p.add_argument("--submap-cells", type=int, default=100,
+    p.add_argument("--submap-cells", type=int, default=SlamParams.submap_cells,
                    help="submap side length in cells")
 
     p = sub.add_parser("merge", help="merge a submap set into one map file")
@@ -82,11 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, type=Path)
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--loc-iters", type=int, default=5,
+    p.add_argument("--loc-iters", type=int, default=_default(pure_localize, "iters"),
                    help="iteration cap for both stages")
     p.add_argument("--init", type=float, nargs=3, metavar=("X", "Y", "THETA"),
                    default=None,
-                   help="initial pose (default: first record's gt, else identity)")
+                   help="initial pose in the map frame, whose origin is the "
+                        "first SLAM pose (default: the origin)")
     _add_match_flags(p)
 
     p = sub.add_parser("eval", help="RMSE between two trajectory files")
@@ -101,25 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     if args.scenario == "rectangle-circuit":
-        world, script, model, rate = rectangle_circuit(
-            noise_sigma=args.noise_sigma if args.noise_sigma is not None else 0.005,
-            outlier_rate=args.outlier_rate if args.outlier_rate is not None else 0.0,
-            seed=args.seed if args.seed is not None else 7,
-            scans=args.scans,
-        )
+        scans = {} if args.scans is None else {"scans": args.scans}
+        world, script, model, rate = rectangle_circuit(**scans)
+    elif args.scans is not None:
+        print("error: --scans applies to builtin scenarios only", file=sys.stderr)
+        return 2
     else:
         world, script, model, rate = parse_scenario(args.scenario)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.noise_sigma is not None:
-            overrides["noise_sigma"] = args.noise_sigma
-        if args.outlier_rate is not None:
-            overrides["outlier_rate"] = args.outlier_rate
-        if overrides:
-            from dataclasses import replace
-
-            model = replace(model, **overrides)
+    overrides = {"seed": args.seed, "noise_sigma": args.noise_sigma,
+                 "outlier_rate": args.outlier_rate}
+    model = replace(model, **{k: v for k, v in overrides.items() if v is not None})
     records = run_scenario(world, script, model, rate)
     logio.write_scan_log(records, args.out)
     if args.gt_out is not None:
@@ -128,28 +143,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _slam_params(args) -> SlamParams:
-    return SlamParams(
-        resolution=args.resolution,
-        truncation=args.truncation,
-        w_max=args.w_max,
-        max_expansions=args.max_expansions,
-        submap_scans=args.submap_scans,
-        submap_cells=args.submap_cells,
-        max_iters_stage1=args.iters1,
-        max_iters_stage2=args.iters2,
-        trim_threshold=args.trim,
-        huber_delta=args.huber_delta,
-        convergence_eps=args.eps,
-    )
-
-
 def cmd_slam(args) -> int:
     records = logio.parse_scan_log(args.log)
     if not records:
         print("error: empty scan log", file=sys.stderr)
         return 1
-    result = run_slam(records, _slam_params(args))
+    params = _from_flags(SlamParams, args, match=_from_flags(MatchConfig, args))
+    result = run_slam(records, params)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     logio.write_trajectory(out / "trajectory.txt", result.trajectory)
@@ -177,21 +177,8 @@ def cmd_localize(args) -> int:
         print("error: empty scan log", file=sys.stderr)
         return 1
 
-    if args.init is not None:
-        pose = Pose2(*args.init)
-    elif records[0].gt is not None:
-        pose = records[0].gt
-    else:
-        pose = IDENTITY
-
-    cfg = MatchConfig.for_grid(
-        grid,
-        max_iters_stage1=args.loc_iters,
-        max_iters_stage2=args.loc_iters,
-        trim_threshold=args.trim,
-        huber_delta=args.huber_delta,
-        convergence_eps=args.eps,
-    )
+    pose = IDENTITY if args.init is None else Pose2(*args.init)
+    cfg = _from_flags(MatchConfig, args)
     trajectory: list[tuple[float, Pose2]] = []
     timings = []
     for record in records:

@@ -18,7 +18,7 @@ outside the truncation band, which removes most range outliers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,36 +41,41 @@ class TooFewPoints(RuntimeError):
 class MatchConfig:
     """Optimizer settings.
 
-    Both distances are in metres. The trim threshold defaults to the map
-    truncation distance (6cm, the systematic error class of the supported
-    scanners). The Huber scale applies to the residual F and defaults to a
-    sixth of the truncation (1cm): well-matched points sit far below it,
-    while points near corners, where a cell's line fit mixes two walls,
-    fall into the linear part of the loss. :meth:`for_grid` is the one place
-    that derives these defaults from a grid.
+    Both distances are in metres, and None takes them from the grid being
+    matched. The trim threshold then is the map truncation distance (6cm,
+    the systematic error class of the supported scanners). The Huber scale
+    applies to the residual F and then is a sixth of the truncation (1cm):
+    well-matched points sit far below it, while points near corners, where
+    a cell's line fit mixes two walls, fall into the linear part of the
+    loss. :meth:`for_grid` is the one place that derives these distances
+    from a grid.
     """
 
     max_iters_stage1: int = 10
     max_iters_stage2: int = 20
-    trim_threshold: float = 0.06
-    huber_delta: float = 0.01
+    trim_threshold: float | None = None
+    huber_delta: float | None = None
     convergence_eps: float = 1e-6
 
     def __post_init__(self):
         for name in ("max_iters_stage1", "max_iters_stage2", "trim_threshold",
                      "huber_delta", "convergence_eps"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive")
 
     @classmethod
-    def for_grid(cls, grid: SdfGrid, **overrides) -> "MatchConfig":
-        """Defaults derived from ``grid``; overrides that are None are ignored."""
-        settings = dict(
-            trim_threshold=grid.truncation,
-            huber_delta=grid.truncation / 6.0,
+    def for_grid(cls, grid: SdfGrid, cfg: MatchConfig | None = None) -> MatchConfig:
+        """``cfg`` (default: all defaults) with its unset distances taken from ``grid``."""
+        if cfg is None:
+            cfg = cls()
+        return replace(
+            cfg,
+            trim_threshold=(grid.truncation if cfg.trim_threshold is None
+                            else cfg.trim_threshold),
+            huber_delta=(grid.truncation / 6.0 if cfg.huber_delta is None
+                         else cfg.huber_delta),
         )
-        settings.update((k, v) for k, v in overrides.items() if v is not None)
-        return cls(**settings)
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,10 @@ def _sample(grid: SdfGrid, world: np.ndarray):
     Returns ``(f, gx, gy, conf, known)``. ``known`` marks the points inside
     the interior whose four surrounding nodes all have W > 0; the other
     points get zeros everywhere, so they carry no residual and no weight.
+    This holds also for a point exactly on a node's column or row: the next
+    nodes have zero weight in F there, but the gradient across the column
+    or row reads them. The rule is therefore stricter, on purpose, than the
+    merge's ``kernels.bicubic_fw``, which needs only a value.
     """
     geom = grid.geometry
     h, w = grid.F.shape
@@ -228,16 +237,16 @@ def trim_points(grid: SdfGrid, pts: np.ndarray, pose: Pose2, threshold: float):
 
 
 def match_two_stage(grid: SdfGrid, scan, init: Pose2,
-                    cfg: MatchConfig | None = None) -> MatchResult:
+                    cfg: MatchConfig = MatchConfig()) -> MatchResult:
     """Full registration: optimize on all points, trim, optimize again.
 
     Stage one estimates a pose from every valid point. Stage two discards
     the points whose distance value at the stage-one pose lies outside the
     trim threshold and re-optimizes on the survivors, which removes the
     influence of range outliers that landed inside the truncation band.
+    Distances ``cfg`` leaves unset are taken from ``grid``.
     """
-    if cfg is None:
-        cfg = MatchConfig.for_grid(grid)
+    cfg = MatchConfig.for_grid(grid, cfg)
     pts = scan_to_points(scan)
     n_valid = len(pts)
 

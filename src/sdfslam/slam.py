@@ -12,40 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .geometry import IDENTITY, Pose2, compose, inverse
-from .mapping import ExpansionPolicy, SdfGrid
+from .mapping import ExpansionPolicy
 from .matching import MatchConfig, SingularHessian, TooFewPoints, match_two_stage, predict_pose
 from .submaps import SubmapCollection
 
 
 @dataclass
 class SlamParams:
-    resolution: float = 0.05
-    truncation: float = 0.06
-    w_max: float = 10.0
+    resolution: float = SubmapCollection.resolution
+    truncation: float = SubmapCollection.truncation
+    w_max: float = SubmapCollection.w_max
     max_expansions: int | None = None  # None selects by resolution
-    submap_scans: int = 50
-    submap_cells: int = 100
-    max_iters_stage1: int = 10
-    max_iters_stage2: int = 20
-    trim_threshold: float | None = None  # metres; None means the truncation distance
-    huber_delta: float | None = None  # metres; None means truncation / 6
-    convergence_eps: float = 1e-6
+    submap_scans: int = SubmapCollection.scans_per_submap
+    submap_cells: int = SubmapCollection.cells
+    match: MatchConfig = field(default_factory=MatchConfig)
 
     def expansion_policy(self) -> ExpansionPolicy:
         if self.max_expansions is None:
             return ExpansionPolicy.for_resolution(self.resolution)
         return ExpansionPolicy(self.max_expansions)
-
-    def match_config(self, grid: SdfGrid) -> MatchConfig:
-        """Matcher settings for ``grid``, with the unset distances derived from it."""
-        return MatchConfig.for_grid(
-            grid,
-            max_iters_stage1=self.max_iters_stage1,
-            max_iters_stage2=self.max_iters_stage2,
-            trim_threshold=self.trim_threshold,
-            huber_delta=self.huber_delta,
-            convergence_eps=self.convergence_eps,
-        )
 
 
 @dataclass
@@ -83,8 +68,7 @@ def run_slam(records, params: SlamParams | None = None) -> SlamResult:
             init = predict_pose(trajectory, target_time=record.timestamp)
             init_local = compose(inverse(target.pose), init)
             try:
-                result = match_two_stage(target.grid, scan, init_local,
-                                         params.match_config(target.grid))
+                result = match_two_stage(target.grid, scan, init_local, params.match)
                 pose = compose(target.pose, result.pose)
             except (SingularHessian, TooFewPoints):
                 failures += 1

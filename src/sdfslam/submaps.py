@@ -11,7 +11,7 @@ against the merged grid without ever mutating it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -198,13 +198,12 @@ def merge_submaps(submaps) -> MergedMap:
 
 
 def pure_localize(merged: MergedMap, scan, init: Pose2, iters: int = 5,
-                  cfg: MatchConfig | None = None) -> MatchResult:
+                  cfg: MatchConfig = MatchConfig()) -> MatchResult:
     """Register a scan against the merged map; never mutates it.
 
-    Both optimization stages are capped at ``iters`` iterations; a handful
-    suffices because the map is fixed and the initial pose is close.
+    Both optimization stages are capped at ``iters`` iterations, whatever
+    ``cfg`` carries; a handful suffices because the map is fixed and the
+    initial pose is close.
     """
-    if cfg is None:
-        cfg = MatchConfig.for_grid(merged.grid, max_iters_stage1=iters,
-                                   max_iters_stage2=iters)
+    cfg = replace(cfg, max_iters_stage1=iters, max_iters_stage2=iters)
     return match_two_stage(merged.grid, scan, init, cfg)

@@ -1,0 +1,108 @@
+"""The command-line pipeline end to end, through ``cli.main``.
+
+One short lap runs simulate -> slam -> merge -> localize -> eval -> export
+with default flags except the submap size: the first 120 frames of the
+400-frame ``rectangle-circuit`` log, on 200-cell submaps.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+from sdfslam import cli
+
+FRAMES = 120
+
+
+def run(*argv):
+    """``cli.main`` on ``argv``; returns the exit code and the printed text."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue()
+
+
+def rmse_translation(text):
+    for line in text.splitlines():
+        key, _, value = line.partition(" ")
+        if key == "rmse_translation":
+            return float(value)
+    raise AssertionError(f"no rmse_translation in {text!r}")
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    steps = {}
+    steps["simulate"] = run("simulate", "--scenario", "rectangle-circuit",
+                            "--out", d / "full.log", "--gt-out", d / "full_gt.txt")
+    for full, short in (("full.log", "log.txt"), ("full_gt.txt", "gt.txt")):
+        lines = (d / full).read_text().splitlines(keepends=True)
+        (d / short).write_text("".join(lines[:FRAMES]))
+    steps["slam"] = run("slam", "--log", d / "log.txt", "--out-dir", d / "slam",
+                        "--submap-cells", 200)
+    steps["merge"] = run("merge", "--submaps", d / "slam" / "submaps",
+                         "--out", d / "merged.sdf2")
+    steps["localize"] = run("localize", "--map", d / "slam" / "map.sdf2",
+                            "--log", d / "log.txt", "--out", d / "loc.txt")
+    steps["eval-slam"] = run("eval", "--est", d / "slam" / "trajectory.txt",
+                             "--gt", d / "gt.txt")
+    steps["eval-localize"] = run("eval", "--est", d / "loc.txt", "--gt", d / "gt.txt")
+    steps["export"] = run("export", "--map", d / "slam" / "map.sdf2",
+                          "--out", d / "map.pgm")
+    return d, steps
+
+
+class TestPipeline:
+    def test_every_step_succeeds(self, pipeline):
+        _, steps = pipeline
+        assert {name: code for name, (code, _) in steps.items()} == {
+            name: 0 for name in steps}
+
+    def test_simulate_writes_full_lap(self, pipeline):
+        d, steps = pipeline
+        assert "wrote 400 records" in steps["simulate"][1]
+        assert len((d / "log.txt").read_text().splitlines()) == FRAMES
+
+    def test_slam_has_no_match_failures(self, pipeline):
+        _, steps = pipeline
+        assert f"slam: {FRAMES} scans" in steps["slam"][1]
+        assert "0 match failures" in steps["slam"][1]
+
+    def test_merge_reproduces_slam_map(self, pipeline):
+        d, _ = pipeline
+        assert (d / "merged.sdf2").read_bytes() == (d / "slam" / "map.sdf2").read_bytes()
+
+    def test_slam_accuracy(self, pipeline):
+        _, steps = pipeline
+        assert rmse_translation(steps["eval-slam"][1]) < 0.010
+
+    def test_localize_from_map_origin(self, pipeline):
+        # No --init: the first frame starts at the map origin, which is
+        # where SLAM put the first pose of the same log.
+        d, steps = pipeline
+        assert len((d / "loc.txt").read_text().splitlines()) == FRAMES
+        assert rmse_translation(steps["eval-localize"][1]) < 0.005
+
+    def test_export_writes_image(self, pipeline):
+        d, steps = pipeline
+        assert (d / "map.pgm").read_bytes().startswith(b"P5\n")
+        assert "image" in steps["export"][1]
+
+
+class TestUsage:
+    def test_localize_has_no_stage_iteration_flags(self, tmp_path):
+        # localize caps both stages with --loc-iters alone.
+        with pytest.raises(SystemExit) as exc:
+            run("localize", "--map", tmp_path / "m.sdf2", "--log", tmp_path / "l.txt",
+                "--out", tmp_path / "o.txt", "--iters1", 3)
+        assert exc.value.code == 2
+
+    def test_scans_rejected_for_scenario_file(self, tmp_path):
+        # A scenario file sets its own frame count from its waypoints.
+        code, text = run("simulate", "--scenario", tmp_path / "room.txt",
+                         "--out", tmp_path / "scans.log", "--scans", 10)
+        assert code == 2
+        assert "--scans" in text
+        assert not (tmp_path / "scans.log").exists()

@@ -83,12 +83,17 @@ class TestCost:
 
     def test_unknown_support_adds_no_cost(self):
         # A point with one unknown node among its four gives no residual and
-        # no cost, however far its known nodes are from the surface.
+        # no cost, however far its known nodes are from the surface. That
+        # holds for a point exactly on known column 5 beside unknown column 6
+        # too, where column 6 has zero bilinear weight in F but the gradient
+        # across the column reads it.
         grid = _uniform_grid(value=0.05, weight=10.0)
         grid.W[10, 10] = 0.0
-        pts = np.array([[0.52, 0.52], [1.0, 1.0]])
+        grid.W[:, 6] = 0.0
+        pts = np.array([[0.52, 0.52], [1.0, 1.0], [5 * 0.05, 0.52]])
         total, residuals = cost(grid, pts, Pose2(0, 0, 0), 0.01)
         assert np.isnan(residuals[0])
+        assert np.isnan(residuals[2])
         assert residuals[1] == pytest.approx(float(np.float32(0.05)), abs=1e-12)
         r = float(np.float32(0.05))
         assert total == pytest.approx(0.01 * (2 * r - 0.01), abs=1e-12)
