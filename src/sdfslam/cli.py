@@ -20,7 +20,7 @@ from pathlib import Path
 from .evaluate import TimingStats, evaluate_trajectory
 from .geometry import IDENTITY, Pose2
 from . import logio
-from .matching import MatchConfig, predict_pose
+from .matching import MatchConfig, SingularHessian, TooFewPoints, predict_pose
 from .simulate import parse_scenario, rectangle_circuit, run_scenario
 from .slam import SlamParams, run_slam
 from .submaps import MergedMap, merge_submaps, pure_localize
@@ -181,15 +181,21 @@ def cmd_localize(args) -> int:
     cfg = _from_flags(MatchConfig, args)
     trajectory: list[tuple[float, Pose2]] = []
     timings = []
+    failures = 0
     for record in records:
         init = pose if not trajectory else predict_pose(
             trajectory, target_time=record.timestamp)
         start = time.perf_counter()
-        result = pure_localize(merged, record.scan, init, args.loc_iters, cfg)
+        try:
+            pose = pure_localize(merged, record.scan, init, args.loc_iters, cfg).pose
+        except (SingularHessian, TooFewPoints):
+            # As in run_slam: keep the prediction and count the frame.
+            failures += 1
+            pose = init
         timings.append(time.perf_counter() - start)
-        pose = result.pose
         trajectory.append((record.timestamp, pose))
     logio.write_trajectory(args.out, trajectory)
+    print(f"localize: {len(records)} scans, {failures} match failures")
     stats = TimingStats.from_samples(timings)
     print("timing[s] median mean max std")
     print(f"timing[s] {stats.table_row()}")

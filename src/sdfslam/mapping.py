@@ -133,8 +133,8 @@ class SdfGrid:
     W: np.ndarray
 
     @classmethod
-    def unknown(cls, geometry: GridGeometry, truncation: float = 0.06,
-                w_max: float = 10.0) -> "SdfGrid":
+    def unknown(cls, geometry: GridGeometry, truncation: float,
+                w_max: float) -> "SdfGrid":
         shape = (geometry.height, geometry.width)
         return cls(
             geometry=geometry,

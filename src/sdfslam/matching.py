@@ -170,17 +170,22 @@ def _linearize(grid: SdfGrid, pts: np.ndarray, pose: Pose2, delta: float):
     return total, H, g
 
 
-def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int = 10,
-                 convergence_eps: float = 1e-6, huber_delta: float = 0.01) -> MatchResult:
+def gauss_newton(grid: SdfGrid, scan_points, init: Pose2,
+                 max_iters: int = MatchConfig.max_iters_stage1,
+                 convergence_eps: float = MatchConfig.convergence_eps,
+                 huber_delta: float | None = None) -> MatchResult:
     """Minimize the robust SDF cost from ``init``.
 
     Stops at the iteration cap or when the relative cost change between two
     consecutive iterations falls below ``convergence_eps``. The best iterate
-    is tracked, so the returned pose never costs more than ``init``.
+    is tracked, so the returned pose never costs more than ``init``. A
+    ``huber_delta`` of None takes the grid's, from :meth:`MatchConfig.for_grid`.
     """
     pts = np.asarray(scan_points, dtype=np.float64).reshape(-1, 2)
     if len(pts) == 0:
         raise SingularHessian("no points to match")
+    if huber_delta is None:
+        huber_delta = MatchConfig.for_grid(grid).huber_delta
 
     pose = init
     prev_cost, H, g = _linearize(grid, pts, pose, huber_delta)

@@ -3,9 +3,10 @@
 During SLAM, scans are inserted into a staggered window of at most two
 unfinished submaps; matching targets the older one so the target is always
 well populated. Finished submaps are later merged into a single grid by
-resampling each submap at the merged cell centers (bicubic) and fusing with
-weighted means, taking the maximum weight. Pure localization registers scans
-against the merged grid without ever mutating it.
+resampling each submap at the merged cell centers under its known tiles
+(bicubic) and fusing with weighted means, taking the maximum weight. Pure
+localization registers scans against the merged grid without ever
+mutating it.
 """
 
 from __future__ import annotations
@@ -143,17 +144,53 @@ def merged_bounds(submaps) -> GridGeometry:
     return GridGeometry(x0 + 0.5 * res, y0 + 0.5 * res, res, width, height)
 
 
+def _cover(sm: Submap, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, rows) of the merged cells where ``sm`` can be known.
+
+    Each of the submap's live tiles (``kernels.live_tiles``) goes through
+    the submap pose into merged cell coordinates. The cells of the mapped
+    square's bounding box, widened by one cell against rounding, are
+    painted into one cover with a 2-D difference array.
+    """
+    sgeom = sm.grid.geometry
+    lo, hi = kernels.live_tiles(sm.grid.W)
+    corners = np.concatenate([lo, hi, np.column_stack((lo[:, 0], hi[:, 1])),
+                              np.column_stack((hi[:, 0], lo[:, 1]))])
+    world = transform_points(sm.pose, sgeom.cells_to_world(corners[:, 0], corners[:, 1]))
+    uv = ((world - (geom.origin_x, geom.origin_y)) / geom.resolution).reshape(4, -1, 2)
+    c0, r0 = np.maximum(np.floor(uv.min(axis=0)).astype(np.int64) - 1, 0).T
+    c1, r1 = np.minimum(np.ceil(uv.max(axis=0)).astype(np.int64) + 1,
+                        (geom.width - 1, geom.height - 1)).T
+    inside = (c0 <= c1) & (r0 <= r1)
+    if not inside.any():
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    c0, r0, c1, r1 = c0[inside], r0[inside], c1[inside], r1[inside]
+
+    # Difference array over the boxes' window, one spare row and column.
+    x0, y0 = c0.min(), r0.min()
+    nw, nh = c1.max() - x0 + 2, r1.max() - y0 + 2
+    rows = np.concatenate([r0, r0, r1 + 1, r1 + 1]) - y0
+    cols = np.concatenate([c0, c1 + 1, c0, c1 + 1]) - x0
+    signs = np.repeat([1.0, -1.0, -1.0, 1.0], len(c0))
+    diff = np.bincount(rows * nw + cols, signs, nh * nw).reshape(nh, nw)
+    np.cumsum(diff, axis=1, out=diff)
+    np.cumsum(diff, axis=0, out=diff)
+    rows, cols = np.divmod(np.flatnonzero(diff > 0.0), nw)
+    return cols + x0, rows + y0
+
+
 def merge_submaps(submaps) -> MergedMap:
     """Fuse finished submaps into one integrated map.
 
-    Submaps are folded in id order. For every merged cell inside a submap's
-    transformed footprint, the submap is resampled at the corresponding
-    point; the distance values fuse by weighted mean and the weight becomes
-    the maximum of the two. Which cells a sample may read is decided by
-    ``kernels.bicubic_fw`` alone: samples it reports invalid (a nearest cell
-    unknown) are skipped so unknown regions never dilute another submap's
-    surface, and a sample whose 4x4 patch reaches into unknown cells gets
-    the bilinear F of its known cells rather than the bicubic one.
+    Submaps are folded in id order. Each submap is resampled at the centers
+    of the merged cells under its known tiles (8x8-cell blocks with a known
+    cell), the only cells where a sample can be valid; the distance values
+    fuse by weighted mean and the weight becomes the maximum of the two.
+    Which cells a sample may read is decided by ``kernels.bicubic_fw``
+    alone: samples it reports invalid (a nearest cell unknown) are skipped
+    so unknown regions never dilute another submap's surface, and a sample
+    whose 4x4 patch reaches into unknown cells gets the bilinear F of its
+    known cells rather than the bicubic one.
     """
     submaps = sorted(submaps, key=lambda s: s.id)
     for sm in submaps:
@@ -165,19 +202,7 @@ def merge_submaps(submaps) -> MergedMap:
 
     for sm in submaps:
         sgeom = sm.grid.geometry
-        # Bounding box of the submap footprint in merged-cell indices.
-        corners = _footprint(sm)
-        col0, row0 = geom.world_to_cell(*corners.min(axis=0))
-        col1, row1 = geom.world_to_cell(*corners.max(axis=0))
-        col0, col1 = max(col0, 0), min(col1, geom.width - 1)
-        row0, row1 = max(row0, 0), min(row1, geom.height - 1)
-        if col0 > col1 or row0 > row1:
-            continue
-
-        cols, rows = np.meshgrid(np.arange(col0, col1 + 1),
-                                 np.arange(row0, row1 + 1))
-        cols = cols.ravel()
-        rows = rows.ravel()
+        cols, rows = _cover(sm, geom)
         local = transform_points(inverse(sm.pose), geom.cells_to_world(cols, rows))
 
         fb, wb, valid = kernels.bicubic_fw(

@@ -46,6 +46,15 @@ def pipeline(tmp_path_factory):
                          "--out", d / "merged.sdf2")
     steps["localize"] = run("localize", "--map", d / "slam" / "map.sdf2",
                             "--log", d / "log.txt", "--out", d / "loc.txt")
+    # The same log with no valid range in its middle record.
+    lines = (d / "log.txt").read_text().splitlines()
+    tokens = lines[FRAMES // 2].split()
+    count = int(tokens[5])
+    tokens[6:6 + count] = ["inf"] * count
+    lines[FRAMES // 2] = " ".join(tokens)
+    (d / "gap.txt").write_text("\n".join(lines) + "\n")
+    steps["localize-gap"] = run("localize", "--map", d / "slam" / "map.sdf2",
+                                "--log", d / "gap.txt", "--out", d / "loc_gap.txt")
     steps["eval-slam"] = run("eval", "--est", d / "slam" / "trajectory.txt",
                              "--gt", d / "gt.txt")
     steps["eval-localize"] = run("eval", "--est", d / "loc.txt", "--gt", d / "gt.txt")
@@ -83,7 +92,15 @@ class TestPipeline:
         # where SLAM put the first pose of the same log.
         d, steps = pipeline
         assert len((d / "loc.txt").read_text().splitlines()) == FRAMES
+        assert "0 match failures" in steps["localize"][1]
         assert rmse_translation(steps["eval-localize"][1]) < 0.005
+
+    def test_localize_survives_a_failed_frame(self, pipeline):
+        # The empty record cannot be matched: it keeps its predicted pose,
+        # and every other frame is still localized and written.
+        d, steps = pipeline
+        assert "localize: 120 scans, 1 match failures" in steps["localize-gap"][1]
+        assert len((d / "loc_gap.txt").read_text().splitlines()) == FRAMES
 
     def test_export_writes_image(self, pipeline):
         d, steps = pipeline

@@ -1,14 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sdfslam import kernels
-from sdfslam.geometry import GridGeometry, Pose2, compose, inverse, transform_point
+from sdfslam.geometry import (
+    GridGeometry,
+    Pose2,
+    compose,
+    inverse,
+    transform_point,
+    transform_points,
+)
 from sdfslam.mapping import ExpansionPolicy, SdfGrid
 from sdfslam.matching import MatchConfig, match_two_stage
 from sdfslam.simulate import SensorModel, simulate_scan
 from sdfslam.slam import SlamParams, run_slam
+from sdfslam import submaps
 from sdfslam.submaps import (
     MergedMap,
     MixedResolution,
@@ -294,6 +303,114 @@ class TestMerge:
         offsets = self._wall_offsets(Pose2(0.02, 0.01, 0.0))
         assert len(offsets) >= 10
         assert np.max(np.abs(offsets)) < 1e-6
+
+
+    @staticmethod
+    def _footprint_box_merge(subs, geom):
+        """Reference merge: resample every merged cell in each submap's
+        footprint bounding box, as the merge did before the tile cover."""
+        first = subs[0].grid
+        merged = SdfGrid.unknown(geom, first.truncation, first.w_max)
+        for sm in sorted(subs, key=lambda s: s.id):
+            sgeom = sm.grid.geometry
+            corners = transform_points(sm.pose, np.asarray(sgeom.corners()))
+            col0, row0 = geom.world_to_cell(*corners.min(axis=0))
+            col1, row1 = geom.world_to_cell(*corners.max(axis=0))
+            col0, col1 = max(col0, 0), min(col1, geom.width - 1)
+            row0, row1 = max(row0, 0), min(row1, geom.height - 1)
+            if col0 > col1 or row0 > row1:
+                continue
+            cols, rows = np.meshgrid(np.arange(col0, col1 + 1),
+                                     np.arange(row0, row1 + 1))
+            cols, rows = cols.ravel(), rows.ravel()
+            local = transform_points(inverse(sm.pose), geom.cells_to_world(cols, rows))
+            fb, wb, valid = kernels.bicubic_fw(
+                sm.grid.F, sm.grid.W, sgeom.origin_x, sgeom.origin_y,
+                sgeom.resolution, sm.grid.truncation, local)
+            vc, vr = cols[valid], rows[valid]
+            fb, wb = fb[valid], wb[valid]
+            fm = merged.F[vr, vc].astype(np.float64)
+            wm = merged.W[vr, vc].astype(np.float64)
+            fused = np.where(wm == 0.0, fb, (wm * fm + wb * fb) / (wm + wb))
+            merged.F[vr, vc] = fused.astype(np.float32)
+            merged.W[vr, vc] = np.maximum(wm, wb).astype(np.float32)
+        return merged
+
+    @staticmethod
+    def _masked_submaps(theta, rng):
+        """Submaps of 42 cells (the last tile is ragged) with random F and W
+        where known: cells on the grid border; cells in every tile corner;
+        one single cell; a 2x2 block in the far corner of a tile whose
+        neighbours are all unknown; a random field with holes punched in it.
+        """
+        cells = 42
+        masks = [np.zeros((cells, cells), dtype=bool) for _ in range(5)]
+        masks[0][[0, -1], :] = masks[0][:, [0, -1]] = True
+        corner = np.isin(np.arange(cells) % 8, (0, 7))
+        masks[1][np.ix_(corner, corner)] = True
+        masks[2][23, 15] = True
+        masks[3][38:40, 30:32] = True
+        masks[4][:] = rng.random((cells, cells)) < 0.8
+        for _ in range(6):
+            r, c = rng.integers(0, cells - 6, 2)
+            masks[4][r:r + rng.integers(1, 7), c:c + rng.integers(1, 7)] = False
+        subs = []
+        for sid, mask in enumerate(masks):
+            pose = Pose2(0.013 + 0.7 * sid, -0.021 + 0.3 * sid, theta + 0.1 * sid)
+            sm = _known_submap(pose=pose, cells=cells, sid=sid)
+            g = sm.grid
+            g.F[:] = rng.uniform(-0.06, 0.06, g.F.shape).astype(np.float32)
+            g.W[:] = rng.uniform(0.5, 10.0, g.W.shape).astype(np.float32)
+            g.F[~mask] = np.float32(g.truncation)
+            g.W[~mask] = 0.0
+            subs.append(sm)
+        return subs
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2 - 1e-9,
+                                       -3 * math.pi / 4, math.pi])
+    def test_cover_matches_footprint_box(self, theta, monkeypatch):
+        # Every cell the tile cover skips is invalid in the footprint box,
+        # so the merged bytes must not change.
+        subs = self._masked_submaps(theta, np.random.default_rng(69))
+        on_lattice = replace(subs[2], pose=Pose2(0.02, 0.01, theta))
+        for case in [[sm] for sm in subs] + [[on_lattice], subs]:
+            geom = merged_bounds(case)
+            expect = self._footprint_box_merge(case, geom)
+            got = merge_submaps(case).grid
+            assert got.geometry == geom
+            assert got.F.tobytes() == expect.F.tobytes()
+            assert got.W.tobytes() == expect.W.tobytes()
+        if theta == 0.0:
+            # On the merged lattice the single known cell is sampled exactly.
+            assert np.count_nonzero(merge_submaps([on_lattice]).grid.W) == 1
+
+        # Merged bounds that cut every submap's footprint.
+        full = merged_bounds(subs)
+        cut = GridGeometry(full.origin_x + 0.6, full.origin_y + 0.3, full.resolution,
+                           full.width - 30, full.height - 15)
+        monkeypatch.setattr(submaps, "merged_bounds", lambda _: cut)
+        expect = self._footprint_box_merge(subs, cut)
+        got = merge_submaps(subs).grid
+        assert np.count_nonzero(got.W) > 0
+        assert got.F.tobytes() == expect.F.tobytes()
+        assert got.W.tobytes() == expect.W.tobytes()
+
+    def test_single_known_cell_samples_one_tile(self, monkeypatch):
+        # The merge resamples the box of the one live tile, not the
+        # submap's whole 200-cell footprint.
+        sm = _known_submap(cells=200, fill_w=0.0, pose=Pose2(0.3, -0.2, 0.7))
+        sm.grid.W[101, 57] = 3.0
+        bicubic, points = kernels.bicubic_fw, []
+
+        def counting(*args):
+            points.append(len(args[6]))
+            return bicubic(*args)
+
+        monkeypatch.setattr(kernels, "bicubic_fw", counting)
+        merge_submaps([sm])
+        # A rotated 8x8-cell tile spans at most 8 * sqrt(2) cells per axis,
+        # plus rounding and a cell of margin on each side.
+        assert sum(points) <= (8 * math.sqrt(2.0) + 5.0) ** 2
 
 
 @pytest.fixture(scope="module")
