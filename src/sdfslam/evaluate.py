@@ -44,7 +44,6 @@ class EvalReport:
     rmse_rotation: float
     errors_translation: list[float]
     errors_rotation: list[float]
-    timing: TimingStats | None = None
 
 
 def evaluate_trajectory(estimated, ground_truth) -> EvalReport:

@@ -110,6 +110,8 @@ def bilinear_fw(F, W, ox, oy, res, trunc, pts):
     return fv, wv
 
 
+# No caller in the package: the benchmark traces it and the tests use it as
+# the reference for mapping.traverse_beams.
 def traverse_free(ox, oy, res, width, height, x0, y0, ux, uy, extent):
     """Cells carved as free along one beam.
 

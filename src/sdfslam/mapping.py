@@ -16,81 +16,31 @@ whole scan:
 7. fuse the surface winners and the remaining carved cells into the grid
    with weighted running means.
 
-The per-cell functions below (:func:`collect_points`,
-:func:`fit_deming`, :func:`surface_update_entries`,
-:func:`free_space_entries`, :func:`resolve_update_set`,
-:func:`fuse_cell`) state the same update one cell or beam at a time; the
-passes reproduce them bit for bit, and the tests compare the two.
+``tests/reference_mapping.py`` states the same update one cell or beam at
+a time; the passes reproduce that reference bit for bit, and the tests
+compare the two. The docstrings below call it "the reference".
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .geometry import GridGeometry, Pose2, scan_to_points, transform_points
 
 # Beams hitting a surface near-parallel make the 1/cos term of the free-space
 # extent blow up; beyond this incidence angle the beam carves nothing.
 GAMMA_CLAMP = math.radians(80.0)
 
-# Priority sentinel for free-space updates: strictly lower priority than any
-# surface update (priorities are distances, smaller = higher), so a surface
-# update always beats carving within one frame.
-FREE_SPACE_PRIORITY = math.inf
-
 DEGENERATE_EPS = 1e-9
-
-
-class DegenerateFit(ValueError):
-    """All points handed to the line fit coincide."""
 
 
 class OutOfBounds(ValueError):
     """A hit point fell outside a fixed-size grid."""
-
-
-class SdfCell(NamedTuple):
-    F: float
-    W: float
-
-
-@dataclass(frozen=True)
-class RegressionLine:
-    """Orthogonal-fit line given as a point on it plus a unit normal."""
-
-    point: tuple[float, float]
-    normal: tuple[float, float]
-
-    def __post_init__(self):
-        n = math.hypot(*self.normal)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError("normal must be a unit vector")
-
-    def signed_distance(self, p: tuple[float, float]) -> float:
-        return self.normal[0] * (p[0] - self.point[0]) + self.normal[1] * (
-            p[1] - self.point[1]
-        )
-
-
-@dataclass(frozen=True)
-class UpdateEntry:
-    """One candidate cell update produced while integrating a frame.
-
-    ``priority`` is the distance between the updated cell's center and the
-    cell that caused the update; smaller distance wins. Free-space entries
-    use the infinite sentinel so any surface update beats them.
-    """
-
-    cell: tuple[int, int]
-    f: float
-    weight: float
-    priority: float
 
 
 @dataclass(frozen=True)
@@ -144,9 +94,6 @@ class SdfGrid:
             W=np.zeros(shape, dtype=np.float32),
         )
 
-    def cell(self, col: int, row: int) -> SdfCell:
-        return SdfCell(float(self.F[row, col]), float(self.W[row, col]))
-
     def copy(self) -> "SdfGrid":
         return SdfGrid(self.geometry, self.truncation, self.w_max,
                        self.F.copy(), self.W.copy())
@@ -161,31 +108,6 @@ class UpdateStats:
     cells_carved: int = 0
 
 
-def fit_deming(points, laser_origin) -> RegressionLine:
-    """Fit the line minimizing summed squared orthogonal distances.
-
-    Orthogonal regression (error-variance ratio 1) handles vertical lines,
-    which ordinary least squares cannot. The normal is oriented toward
-    ``laser_origin`` so signed distances are positive on the sensor side.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if len(pts) < 2:
-        raise ValueError("need at least two points")
-    cx, cy = pts.mean(axis=0)
-    dx = pts[:, 0] - cx
-    dy = pts[:, 1] - cy
-    if np.max(dx * dx + dy * dy) < DEGENERATE_EPS * DEGENERATE_EPS:
-        raise DegenerateFit("all points coincide")
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
-    sxy = float(np.dot(dx, dy))
-    angle = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
-    nx, ny = -math.sin(angle), math.cos(angle)
-    if nx * (laser_origin[0] - cx) + ny * (laser_origin[1] - cy) < 0.0:
-        nx, ny = -nx, -ny
-    return RegressionLine(point=(cx, cy), normal=(nx, ny))
-
-
 def chebyshev_ring(d: int) -> list[tuple[int, int]]:
     """Cell offsets at Chebyshev distance exactly ``d`` (8 for d=1, 16 for d=2, ...)."""
     if d == 0:
@@ -198,178 +120,6 @@ def chebyshev_ring(d: int) -> list[tuple[int, int]]:
     return ring
 
 
-def collect_points(cell, hits, policy: ExpansionPolicy):
-    """Gather the points used to fit this cell's regression line.
-
-    Starts with the cell's own bucket; while fewer than three points are on
-    hand and the expansion budget allows, pulls in the next neighbor ring.
-    Returns ``(points, expansions_used)``, or ``None`` when fewer than two
-    points were found after maximum expansion (the update is given up).
-    """
-    points = list(hits.get(cell, ()))
-    e = 0
-    while len(points) < 3 and e < policy.max_expansions:
-        e += 1
-        for di, dj in chebyshev_ring(e):
-            points.extend(hits.get((cell[0] + di, cell[1] + dj), ()))
-    if len(points) < 2:
-        return None
-    return points, e
-
-
-def update_range(cell_center, e: int, resolution: float):
-    """Closed box around the causing cell limiting which projections update.
-
-    Half-width grows with the expansion count: (1 + 0.5 * e) * resolution,
-    so lines fitted from a wider search also update a wider range.
-    """
-    half = (1.0 + 0.5 * e) * resolution
-    return (
-        cell_center[0] - half,
-        cell_center[1] - half,
-        cell_center[0] + half,
-        cell_center[1] + half,
-    )
-
-
-def surface_update_entries(cell, line: RegressionLine, e: int, grid: SdfGrid,
-                           laser_origin) -> list[UpdateEntry]:
-    """Candidate updates around one causing cell.
-
-    Candidates are in-bounds cells whose center lies within the truncation
-    distance of the causing cell's center. A candidate is updated only when
-    its projection onto the regression line falls inside the closed
-    :func:`update_range` box. The update value is the signed orthogonal
-    distance to the line (positive on the sensor side, negative behind),
-    clamped to the truncation band; its priority is the center distance to
-    the causing cell.
-    """
-    geom = grid.geometry
-    res = geom.resolution
-    trunc = grid.truncation
-    ccx, ccy = geom.cell_to_world(*cell)
-    xmin, ymin, xmax, ymax = update_range((ccx, ccy), e, res)
-    reach = int(math.ceil(trunc / res))
-    limit = trunc * (1.0 + 1e-12)
-
-    entries = []
-    for dj in range(-reach, reach + 1):
-        for di in range(-reach, reach + 1):
-            dist = res * math.hypot(di, dj)
-            if dist > limit:
-                continue
-            target = (cell[0] + di, cell[1] + dj)
-            if not geom.contains(*target):
-                continue
-            tx, ty = geom.cell_to_world(*target)
-            sd = line.signed_distance((tx, ty))
-            px = tx - sd * line.normal[0]
-            py = ty - sd * line.normal[1]
-            if not (xmin <= px <= xmax and ymin <= py <= ymax):
-                continue
-            f_t = min(max(sd, -trunc), trunc)
-            entries.append(UpdateEntry(target, f_t, 1.0, dist))
-    return entries
-
-
-def free_space_extent(beam_range: float, gamma: float, t_d: float,
-                      gamma_clamp: float = GAMMA_CLAMP):
-    """Carving distance along a beam, shortened by surface obliqueness.
-
-    ``gamma`` is the incidence angle between the beam and the surface normal
-    (0 when perpendicular). Carving stops t_d / cos(gamma) before the hit;
-    past ``gamma_clamp`` the correction is unreliable and the beam carves
-    nothing (returns None).
-    """
-    if abs(gamma) > gamma_clamp:
-        return None
-    return max(0.0, beam_range - t_d / math.cos(gamma))
-
-
-def free_space_entry_cells(grid: SdfGrid, origin, direction, extent):
-    """In-bounds cells carved by one beam: (cols, rows) arrays."""
-    geom = grid.geometry
-    return kernels.traverse_free(
-        geom.origin_x, geom.origin_y, geom.resolution, geom.width, geom.height,
-        origin[0], origin[1], direction[0], direction[1], extent,
-    )
-
-
-def free_space_entries(scan, pose: Pose2, grid: SdfGrid, extents) -> list[UpdateEntry]:
-    """Free-space updates for a frame, one entry per visited cell per beam.
-
-    ``extents`` is aligned with ``scan.ranges``; None entries carve nothing.
-    Every visited cell is set toward +truncation with the free-space
-    priority sentinel.
-    """
-    trunc = grid.truncation
-    angles = scan.beam_angles()
-    entries = []
-    for i, extent in enumerate(extents):
-        if extent is None or extent <= 0.0:
-            continue
-        a = pose.theta + angles[i]
-        cols, rows = free_space_entry_cells(
-            grid, (pose.x, pose.y), (math.cos(a), math.sin(a)), float(extent)
-        )
-        for c, r in zip(cols.tolist(), rows.tolist()):
-            entries.append(UpdateEntry((c, r), trunc, 1.0, FREE_SPACE_PRIORITY))
-    return entries
-
-
-def resolve_update_set(entries) -> list[UpdateEntry]:
-    """Reduce a frame's update set to at most one entry per cell.
-
-    The highest-priority (smallest-distance) entry wins; exact ties are
-    fused by the weighted-mean arithmetic of the cell fusion rule (all
-    frame weights are 1, so ties average). The result does not depend on
-    input order.
-    """
-    acc: dict[tuple[int, int], list[float]] = {}
-    for en in entries:
-        slot = acc.get(en.cell)
-        if slot is None or en.priority < slot[0]:
-            acc[en.cell] = [en.priority, en.f, 1.0]
-        elif en.priority == slot[0]:
-            slot[1] += en.f
-            slot[2] += 1.0
-    return [
-        UpdateEntry(cell, fsum / count, 1.0, prio)
-        for cell, (prio, fsum, count) in acc.items()
-    ]
-
-
-def fuse_cell(prev: SdfCell, f_t: float, w_t: float, w_max: float) -> SdfCell:
-    """Weighted running mean of distance values with a capped weight.
-
-    The first observation passes through unchanged. The mean always uses the
-    stored weight, so a saturated cell keeps averaging at full confidence
-    while its weight stays capped at ``w_max``.
-    """
-    if prev.W == 0.0:
-        return SdfCell(f_t, min(w_t, w_max))
-    f = (prev.W * prev.F + w_t * f_t) / (prev.W + w_t)
-    w = min(prev.W + w_t, w_max)
-    return SdfCell(f, w)
-
-
-def _neighbor_line(lines, cell):
-    """Line of the nearest fitted cell within one ring, if any.
-
-    Used for beams whose own hit cell could not be fitted: the neighbor's
-    normal still gives a usable incidence angle for free-space carving.
-    Direct neighbors are preferred over diagonals.
-    """
-    line = lines.get(cell)
-    if line is not None:
-        return line
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-        line = lines.get((cell[0] + di, cell[1] + dj))
-        if line is not None:
-            return line
-    return None
-
-
 def integrate_scan(grid: SdfGrid, scan, pose: Pose2, policy: ExpansionPolicy,
                    clip: bool = False) -> UpdateStats:
     """Fuse one frame into the grid; mutates ``grid`` and returns counts.
@@ -378,14 +128,11 @@ def integrate_scan(grid: SdfGrid, scan, pose: Pose2, policy: ExpansionPolicy,
     grid raise :class:`OutOfBounds` unless ``clip`` is set, in which case
     they are dropped from the buckets and the line fits. Their beams still
     carve when a fitted cell lies within one ring of the hit cell, as every
-    beam does (see :func:`_neighbor_line`). Requires exclusive access to
-    the grid.
+    beam does (see :func:`_beam_lines`). Requires exclusive access to the
+    grid.
 
-    The result equals the per-cell pipeline (:func:`collect_points`,
-    :func:`fit_deming`, :func:`surface_update_entries`,
-    :func:`free_space_entries`, :func:`resolve_update_set`,
-    :func:`fuse_cell`) bit for bit; each pass below evaluates the same
-    expressions, in the same summation order, over whole arrays.
+    The result equals the reference bit for bit; each pass below evaluates
+    the same expressions, in the same summation order, over whole arrays.
     """
     stats = UpdateStats()
     geom = grid.geometry
@@ -440,7 +187,7 @@ def _libm(fn, *args) -> np.ndarray:
 
     NumPy's own ``arctan2`` and ``arccos`` may take SIMD approximations
     (AVX-512 builds do) that differ from the C library in the last bit; the
-    per-cell pipeline calls :mod:`math`, so the array passes do too.
+    reference calls :mod:`math`, so the array passes do too.
     """
     return np.fromiter(map(fn, *(x.tolist() for x in args)), dtype=np.float64,
                        count=len(args[0]))
@@ -455,7 +202,7 @@ class _Cells(NamedTuple):
     """Occupied cells of one frame, numbered in order of first appearance.
 
     ``hits[start[c]:start[c] + count[c]]`` are the indices of cell ``c``'s
-    hit points in beam order, as :func:`collect_points` sees its bucket.
+    hit points in beam order, as the reference's point search sees its bucket.
     """
 
     width: int
@@ -503,7 +250,7 @@ def _frozen(*arrays):
 
 @functools.lru_cache(maxsize=16)
 def _search_offsets(max_expansions: int):
-    """Offsets that :func:`collect_points` visits, in its order.
+    """Offsets that the reference's point search visits, in its order.
 
     Own cell, then rings 1..max_expansions in :func:`chebyshev_ring` order.
     Returns ``(di, dj, ring_end)``: offsets ``[0, ring_end[d])`` lie within
@@ -526,7 +273,7 @@ class _Lines(NamedTuple):
 
 
 def _fit_lines(cells: _Cells, pts_world, origin, policy: ExpansionPolicy) -> _Lines:
-    """:func:`collect_points` then :func:`fit_deming` for every cell at once."""
+    """The reference's point search and line fit for every cell at once."""
     di, dj, ring_end = _search_offsets(policy.max_expansions)
     n = len(cells.count)
     nbr = np.full((n, len(di)), -1, dtype=np.int64)  # cells whose points are used
@@ -542,7 +289,7 @@ def _fit_lines(cells: _Cells, pts_world, origin, policy: ExpansionPolicy) -> _Li
         e[grow] = d
     fitted = np.flatnonzero(size >= 2)
 
-    # Each fitted cell's points in collect_points order: buckets by offset,
+    # Each fitted cell's points in the reference's order: buckets by offset,
     # beam order within a bucket.
     src = nbr[fitted]
     src = src[src >= 0]
@@ -552,7 +299,7 @@ def _fit_lines(cells: _Cells, pts_world, origin, policy: ExpansionPolicy) -> _Li
     size = size[fitted]
     seg = np.cumsum(size) - size
 
-    # fit_deming sums the coordinates left to right (pts.mean(axis=0)) and
+    # The reference sums the coordinates left to right (pts.mean(axis=0)) and
     # takes np.dot of the deviations; grouping the fits by point count lets
     # np.add.accumulate and a stacked matmul, which calls the same BLAS dot,
     # repeat that arithmetic exactly.
@@ -581,7 +328,7 @@ def _fit_lines(cells: _Cells, pts_world, origin, policy: ExpansionPolicy) -> _Li
 
 @functools.lru_cache(maxsize=16)
 def _truncation_stencil(resolution: float, truncation: float):
-    """Candidate offsets of :func:`surface_update_entries`, in its loop order.
+    """Candidate offsets of the reference's surface updates, in its loop order.
 
     Returns ``(di, dj, priority)`` for the offsets whose center distance
     lies within the truncation distance.
@@ -598,8 +345,8 @@ def _truncation_stencil(resolution: float, truncation: float):
 def _surface_updates(grid: SdfGrid, cells: _Cells, fit: _Lines):
     """Resolved surface updates: (flat cell ids, f) with one entry per cell.
 
-    Builds every :func:`surface_update_entries` candidate, cell by cell in
-    stencil order, then resolves them as :func:`resolve_update_set` does.
+    Builds every candidate of the reference, cell by cell in stencil order,
+    then resolves them as the reference does.
     """
     geom = grid.geometry
     res = geom.resolution
@@ -635,13 +382,18 @@ def _surface_updates(grid: SdfGrid, cells: _Cells, fit: _Lines):
     return cell, fsum / np.bincount(slot[win], minlength=len(cell))
 
 
-# Own cell, then the eight neighbors in _neighbor_line's order, as (di, dj).
+# Own cell, then the eight neighbors in the reference's order, as (di, dj).
 _LINE_OFFSETS = ((0, 1, -1, 0, 0, 1, 1, -1, -1),
                  (0, 0, 0, 1, -1, 1, -1, 1, -1))
 
 
 def _beam_lines(cells: _Cells, fit: _Lines, cols, rows):
-    """Index into ``fit`` of each hit's :func:`_neighbor_line`, or -1."""
+    """Index into ``fit`` of each hit's line, or -1 where there is none.
+
+    A hit takes its own cell's line; a hit whose cell was not fitted takes
+    the first fitted neighbor within one ring, direct neighbors before
+    diagonals, so its beam still gets an incidence angle for carving.
+    """
     line_of_cell = np.full(len(cells.count), -1, dtype=np.int64)
     line_of_cell[fit.cell] = np.arange(len(fit.cell))
     di, dj = np.array(_LINE_OFFSETS)
@@ -713,7 +465,7 @@ def traverse_beams(geom: GridGeometry, x0: float, y0: float, ux, uy, extent):
 def _fuse_batch(grid: SdfGrid, flat, f_t, w_t: float = 1.0):
     """Vectorized fuse of distinct cells, given as flat (row-major) indices.
 
-    Same arithmetic as fuse_cell.
+    Same arithmetic as the reference's cell fusion.
     """
     wp = np.take(grid.W, flat).astype(np.float64)
     fp = np.take(grid.F, flat).astype(np.float64)

@@ -1,8 +1,8 @@
 """The command-line pipeline end to end, through ``cli.main``.
 
 One short lap runs simulate -> slam -> merge -> localize -> eval -> export
-with default flags except the submap size: the first 120 frames of the
-400-frame ``rectangle-circuit`` log, on 200-cell submaps.
+with default flags: the first 120 frames of the 400-frame
+``rectangle-circuit`` log.
 """
 
 import contextlib
@@ -40,8 +40,7 @@ def pipeline(tmp_path_factory):
     for full, short in (("full.log", "log.txt"), ("full_gt.txt", "gt.txt")):
         lines = (d / full).read_text().splitlines(keepends=True)
         (d / short).write_text("".join(lines[:FRAMES]))
-    steps["slam"] = run("slam", "--log", d / "log.txt", "--out-dir", d / "slam",
-                        "--submap-cells", 200)
+    steps["slam"] = run("slam", "--log", d / "log.txt", "--out-dir", d / "slam")
     steps["merge"] = run("merge", "--submaps", d / "slam" / "submaps",
                          "--out", d / "merged.sdf2")
     steps["localize"] = run("localize", "--map", d / "slam" / "map.sdf2",

@@ -5,28 +5,8 @@ import pytest
 
 from sdfslam import kernels
 from sdfslam.geometry import GridGeometry, Pose2, scan_to_points, transform_points
-from sdfslam.mapping import (
-    FREE_SPACE_PRIORITY,
-    DegenerateFit,
-    ExpansionPolicy,
-    OutOfBounds,
-    RegressionLine,
-    SdfCell,
-    SdfGrid,
-    UpdateEntry,
-    UpdateStats,
-    chebyshev_ring,
-    collect_points,
-    fit_deming,
-    free_space_entries,
-    free_space_extent,
-    fuse_cell,
-    integrate_scan,
-    resolve_update_set,
-    surface_update_entries,
-    traverse_beams,
-    update_range,
-)
+from sdfslam.mapping import (ExpansionPolicy, OutOfBounds, SdfGrid, chebyshev_ring,
+                             integrate_scan, traverse_beams)
 from sdfslam.simulate import (
     SensorModel,
     World,
@@ -37,6 +17,10 @@ from sdfslam.simulate import (
 )
 
 from conftest import make_grid, make_square_world
+from reference_mapping import (
+    FREE_SPACE_PRIORITY, DegenerateFit, RegressionLine, SdfCell, UpdateEntry, collect_points,
+    fit_deming, free_space_entries, free_space_extent, fuse_cell, integrate_by_ops,
+    resolve_update_set, surface_update_entries, update_range)
 
 
 def brute_force_line_angle(pts: np.ndarray) -> float:
@@ -530,7 +514,7 @@ class TestIntegrateScan:
         slow = fast.copy()
         for scan, pose in frames:
             stats = integrate_scan(fast, scan, pose, policy, clip=True)
-            assert stats == _integrate_by_ops(slow, scan, pose, policy)
+            assert stats == integrate_by_ops(slow, scan, pose, policy).stats
 
             assert np.array_equal(fast.F, slow.F)
             assert np.array_equal(fast.W, slow.W)
@@ -540,8 +524,7 @@ class TestIntegrateScan:
         # The float32 map hides last-bit differences, so compare the array
         # passes' float64 intermediates with the per-cell helpers directly:
         # each fitted line, each resolved surface value, each beam's line.
-        from sdfslam.mapping import (
-            _beam_lines, _bucket_hits, _fit_lines, _neighbor_line, _surface_updates)
+        from sdfslam.mapping import _beam_lines, _bucket_hits, _fit_lines, _surface_updates
 
         build, policy = COMPOSITION_CASES[case]
         grid, frames = build()
@@ -550,46 +533,29 @@ class TestIntegrateScan:
         world_pts = transform_points(pose, scan_to_points(scan))
         cols, rows = geom.world_to_cells(world_pts)
         inb = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
-        hits = {}
-        for k in np.flatnonzero(inb):
-            hits.setdefault((int(cols[k]), int(rows[k])), []).append(
-                (world_pts[k, 0], world_pts[k, 1]))
-        origin = (pose.x, pose.y)
-        lines, expansions, entries = {}, {}, []
-        for cell in hits:
-            collected = collect_points(cell, hits, policy)
-            if collected is None:
-                continue
-            try:
-                lines[cell] = fit_deming(collected[0], origin)
-            except DegenerateFit:
-                continue
-            expansions[cell] = collected[1]
-            entries.extend(surface_update_entries(cell, lines[cell], collected[1],
-                                                  grid, origin))
+        ref = integrate_by_ops(grid.copy(), scan, pose, policy)
 
         cells = _bucket_hits(geom, cols, rows, inb)
-        fit = _fit_lines(cells, world_pts, origin, policy)
+        fit = _fit_lines(cells, world_pts, (pose.x, pose.y), policy)
         fitted = list(zip(cells.col[fit.cell].tolist(), cells.row[fit.cell].tolist()))
-        assert fitted == list(lines)
+        assert fitted == list(ref.lines)
         for k, cell in enumerate(fitted):
-            line = lines[cell]
+            line = ref.lines[cell]
             assert (fit.cx[k], fit.cy[k]) == line.point
             assert (fit.nx[k], fit.ny[k]) == line.normal
-            assert fit.e[k] == expansions[cell]
+            assert fit.e[k] == ref.expansions[cell]
 
         flat, f = _surface_updates(grid, cells, fit)
-        want = {en.cell[1] * geom.width + en.cell[0]: en.f
-                for en in resolve_update_set(entries)}
+        want = {en.cell[1] * geom.width + en.cell[0]: en.f for en in ref.surface}
         got = dict(zip(flat.tolist(), f.tolist()))
         assert got == want
         assert all(math.copysign(1.0, got[c]) == math.copysign(1.0, want[c]) for c in want)
 
         beam_line = _beam_lines(cells, fit, cols, rows)
-        for k in range(len(world_pts)):
-            line = _neighbor_line(lines, geom.world_to_cell(*world_pts[k]))
+        assert len(ref.beam_lines) == len(world_pts)
+        for k, line in enumerate(ref.beam_lines):
             assert (None if beam_line[k] < 0 else fitted[beam_line[k]]) == (
-                None if line is None else next(c for c in lines if lines[c] is line))
+                None if line is None else next(c for c in ref.lines if ref.lines[c] is line))
 
 
 class TestTraverseBeams:
@@ -634,67 +600,3 @@ class TestTraverseBeams:
         cols, rows = traverse_beams(self.GEOM, 0.0, 0.0, np.empty(0), np.empty(0),
                                     np.empty(0))
         assert len(cols) == 0 and len(rows) == 0
-
-
-def _integrate_by_ops(grid, scan, pose, policy):
-    """Literal composition of the public operations, for equivalence checks.
-
-    Returns the counts this composition implies: resolved surface and
-    free-space entries, and cells given up by the point search or the fit.
-    """
-    from sdfslam.mapping import _neighbor_line
-
-    geom = grid.geometry
-    pts = scan_to_points(scan)
-    world_pts = transform_points(pose, pts)
-    cols, rows = geom.world_to_cells(world_pts)
-    inb = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
-
-    hits = {}
-    for k in np.flatnonzero(inb):
-        hits.setdefault((int(cols[k]), int(rows[k])), []).append(
-            (world_pts[k, 0], world_pts[k, 1]))
-
-    origin = (pose.x, pose.y)
-    lines = {}
-    entries = []
-    skipped = 0
-    for cell in hits:
-        res = collect_points(cell, hits, policy)
-        if res is None:
-            skipped += 1
-            continue
-        cell_pts, e = res
-        try:
-            line = fit_deming(cell_pts, origin)
-        except DegenerateFit:
-            skipped += 1
-            continue
-        lines[cell] = line
-        entries.extend(surface_update_entries(cell, line, e, grid, origin))
-
-    valid_idx = np.flatnonzero(scan.valid_mask())
-    angles = scan.beam_angles()
-    extents = [None] * len(scan.ranges)
-    for k in range(len(pts)):
-        cell = geom.world_to_cell(world_pts[k, 0], world_pts[k, 1])
-        line = _neighbor_line(lines, cell)
-        if line is None:
-            continue
-        beam_index = valid_idx[k]
-        a = pose.theta + angles[beam_index]
-        cosg = -(math.cos(a) * line.normal[0] + math.sin(a) * line.normal[1])
-        gamma = math.acos(min(max(cosg, -1.0), 1.0))
-        extents[beam_index] = free_space_extent(scan.ranges[beam_index], gamma,
-                                                grid.truncation)
-
-    entries.extend(free_space_entries(scan, pose, grid, extents))
-    resolved = resolve_update_set(entries)
-    for en in resolved:
-        col, row = en.cell
-        cell = fuse_cell(grid.cell(col, row), en.f, en.weight, grid.w_max)
-        grid.F[row, col] = np.float32(cell.F)
-        grid.W[row, col] = np.float32(cell.W)
-    carved = sum(en.priority == FREE_SPACE_PRIORITY for en in resolved)
-    return UpdateStats(cells_updated=len(resolved) - carved, cells_skipped=skipped,
-                       cells_carved=carved)
