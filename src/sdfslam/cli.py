@@ -116,6 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="RMSE between two trajectory files")
     p.add_argument("--est", required=True, type=Path)
     p.add_argument("--gt", required=True, type=Path)
+    p.add_argument("--anchor-gt", type=Path, default=None,
+                   help="true trajectory of the map log: compare in the world "
+                        "frame through its first pose instead of aligning the "
+                        "first frames, and also print p95 and max")
 
     p = sub.add_parser("export", help="write a map file as a PGM image")
     p.add_argument("--map", required=True, type=Path)
@@ -170,6 +174,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    cfg = _from_flags(MatchConfig, args)
     grid = logio.load_map(args.map)
     merged = MergedMap(grid=grid, provenance=[])
     records = logio.parse_scan_log(args.log)
@@ -178,7 +183,6 @@ def cmd_localize(args) -> int:
         return 1
 
     pose = IDENTITY if args.init is None else Pose2(*args.init)
-    cfg = _from_flags(MatchConfig, args)
     trajectory: list[tuple[float, Pose2]] = []
     timings = []
     failures = 0
@@ -209,9 +213,19 @@ def cmd_eval(args) -> int:
         if not math.isclose(te, tg, rel_tol=0.0, abs_tol=1e-6):
             print("error: trajectories are not timestamp-aligned", file=sys.stderr)
             return 1
-    report = evaluate_trajectory([p for _, p in est], [p for _, p in gt])
+    anchor = None
+    if args.anchor_gt is not None:
+        map_gt = logio.read_trajectory(args.anchor_gt)
+        if not map_gt:
+            print("error: empty anchor trajectory", file=sys.stderr)
+            return 1
+        anchor = map_gt[0][1]
+    report = evaluate_trajectory([p for _, p in est], [p for _, p in gt], anchor)
     print(f"rmse_translation {report.rmse_translation:.6f}")
     print(f"rmse_rotation {report.rmse_rotation:.6f}")
+    if anchor is not None:
+        print(f"p95_translation {report.p95_translation:.6f}")
+        print(f"max_translation {report.max_translation:.6f}")
     return 0
 
 

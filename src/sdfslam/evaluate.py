@@ -44,14 +44,20 @@ class EvalReport:
     rmse_rotation: float
     errors_translation: list[float]
     errors_rotation: list[float]
+    p95_translation: float
+    max_translation: float
 
 
-def evaluate_trajectory(estimated, ground_truth) -> EvalReport:
-    """RMSE between two equal-length pose sequences.
+def evaluate_trajectory(estimated, ground_truth,
+                        anchor: Pose2 | None = None) -> EvalReport:
+    """RMSE, p95 and max error between two equal-length pose sequences.
 
-    The estimate is first rigidly aligned so its initial pose coincides with
-    the ground truth's (odometry-style evaluation); the anchor frame then
-    has zero error by construction and is excluded from the means. Rotation
+    With no ``anchor``, the estimate is first rigidly aligned so its initial
+    pose coincides with the ground truth's (odometry-style evaluation); the
+    first frame then has zero error by construction and is excluded from
+    the statistics. An ``anchor`` is the map-to-world transform, the true
+    pose of the map log's first frame: the estimate, in the map frame, is
+    mapped through it into the world frame, and every frame counts. Rotation
     errors use normalized angle differences.
     """
     if len(estimated) != len(ground_truth):
@@ -60,7 +66,10 @@ def evaluate_trajectory(estimated, ground_truth) -> EvalReport:
     if len(estimated) == 0:
         raise LengthMismatch("empty trajectories")
 
-    align = compose(ground_truth[0], inverse(estimated[0]))
+    if anchor is None:
+        align, first = compose(ground_truth[0], inverse(estimated[0])), 1
+    else:
+        align, first = anchor, 0
     et = []
     er = []
     for est, gt in zip(estimated, ground_truth):
@@ -69,14 +78,16 @@ def evaluate_trajectory(estimated, ground_truth) -> EvalReport:
         er.append(abs(normalize_angle(a.theta - gt.theta)))
 
     def rmse(errors):
-        tail = errors[1:]
-        if not tail:
+        if not errors:
             return 0.0
-        return math.sqrt(sum(e * e for e in tail) / len(tail))
+        return math.sqrt(sum(e * e for e in errors) / len(errors))
 
+    counted = et[first:]
     return EvalReport(
-        rmse_translation=rmse(et),
-        rmse_rotation=rmse(er),
+        rmse_translation=rmse(counted),
+        rmse_rotation=rmse(er[first:]),
         errors_translation=et,
         errors_rotation=er,
+        p95_translation=float(np.percentile(counted, 95)) if counted else 0.0,
+        max_translation=max(counted, default=0.0),
     )

@@ -137,7 +137,7 @@ class GridGeometry:
     height: int
 
     def __post_init__(self):
-        if self.resolution <= 0:
+        if not self.resolution > 0:  # NaN fails too
             raise ValueError("resolution must be positive")
         if self.width < 1 or self.height < 1:
             raise ValueError("grid must have at least one cell")

@@ -13,12 +13,17 @@ trimmed point, so the edge of observed space neither pulls nor pushes.
 Minimization uses Gauss-Newton with Huber reweighting (IRLS); a second stage
 re-runs the optimization after trimming the points whose distance value lies
 outside the truncation band, which removes most range outliers.
+
+A match samples the grid once at each pose it visits. Trimming reads stage
+one's sample at its best pose, and stage two starts from the kept points of
+that sample: transforming and sampling act point by point, so the subset of
+a sample is the sample of the subset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .mapping import SdfGrid
 
 _EIG_RATIO_MIN = 1e-10
 _DAMPING = 1e-6
+_EYE3 = np.eye(3)
 
 
 class SingularHessian(RuntimeError):
@@ -61,7 +67,7 @@ class MatchConfig:
         for name in ("max_iters_stage1", "max_iters_stage2", "trim_threshold",
                      "huber_delta", "convergence_eps"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
 
     @classmethod
@@ -80,6 +86,13 @@ class MatchConfig:
 
 @dataclass(frozen=True)
 class MatchResult:
+    """The best pose a match found and what it took.
+
+    :func:`gauss_newton` sets ``sample``, the grid sample of its points at
+    ``pose`` (see :func:`_sample`), for the trim and stage two to reuse; it
+    takes no part in comparisons.
+    """
+
     pose: Pose2
     final_cost: float
     iterations_stage1: int
@@ -87,6 +100,7 @@ class MatchResult:
     points_used: int
     points_trimmed: int
     converged: bool
+    sample: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _sample(grid: SdfGrid, world: np.ndarray):
@@ -103,41 +117,45 @@ def _sample(grid: SdfGrid, world: np.ndarray):
     geom = grid.geometry
     h, w = grid.F.shape
     n = len(world)
-    f = np.zeros(n)
-    gx = np.zeros(n)
-    gy = np.zeros(n)
-    conf = np.zeros(n)
-    known = np.zeros(n, dtype=bool)
 
     u = (world[:, 0] - geom.origin_x) / geom.resolution
     v = (world[:, 1] - geom.origin_y) / geom.resolution
     idx = np.flatnonzero((u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0))
-    i0 = np.minimum(u[idx].astype(np.int64), w - 2)
-    j0 = np.minimum(v[idx].astype(np.int64), h - 2)
-    nodes = (j0 * w + i0)[:, None] + np.array([0, 1, w, w + 1])
+    u, v = u[idx], v[idx]
+    i0 = np.minimum(u.astype(np.int64), w - 2)
+    j0 = np.minimum(v.astype(np.int64), h - 2)
+    # One row per corner, (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1).
+    nodes = (j0 * w + i0) + np.array([[0], [1], [w], [w + 1]])
     wn = grid.W.ravel().take(nodes)
-    full = np.all(wn > 0.0, axis=1)
-    idx, i0, j0, nodes = idx[full], i0[full], j0[full], nodes[full]
-    tu = u[idx] - i0
-    tv = v[idx] - j0
+    full = np.all(wn > 0.0, axis=0)
+    if not full.all():
+        idx, u, v, i0, j0 = idx[full], u[full], v[full], i0[full], j0[full]
+        nodes, wn = nodes[:, full], wn[:, full]
+    tu = u - i0
+    tv = v - j0
+    su = 1.0 - tu
+    sv = 1.0 - tv
+    f00, f10, f01, f11 = grid.F.ravel().take(nodes).astype(np.float64)
+    w00, w10, w01, w11 = wn
 
-    def lerp(a00, a10, a01, a11):
-        return (1.0 - tv) * ((1.0 - tu) * a00 + tu * a10) + tv * (
-            (1.0 - tu) * a01 + tu * a11
-        )
-
-    f00, f10, f01, f11 = grid.F.ravel().take(nodes).astype(np.float64).T
-    f[idx] = lerp(f00, f10, f01, f11)
-    gx[idx] = ((1.0 - tv) * (f10 - f00) + tv * (f11 - f01)) / geom.resolution
-    gy[idx] = ((1.0 - tu) * (f01 - f00) + tu * (f11 - f10)) / geom.resolution
-    conf[idx] = lerp(*wn[full].astype(np.float64).T) / grid.w_max
+    # Rows f, gx, gy, conf; the unsupported points keep zeros.
+    out = np.zeros((4, n))
+    out[0, idx] = sv * (su * f00 + tu * f10) + tv * (su * f01 + tu * f11)
+    out[1, idx] = (sv * (f10 - f00) + tv * (f11 - f01)) / geom.resolution
+    out[2, idx] = (su * (f01 - f00) + tu * (f11 - f10)) / geom.resolution
+    out[3, idx] = (sv * (su * w00 + tu * w10) + tv * (su * w01 + tu * w11)) / grid.w_max
+    known = np.zeros(n, dtype=bool)
     known[idx] = True
-    return f, gx, gy, conf, known
+    return out[0], out[1], out[2], out[3], known
 
 
-def _huber_loss(r: np.ndarray, delta: float) -> np.ndarray:
-    a = np.abs(r)
-    return np.where(a <= delta, r * r, delta * (2.0 * a - delta))
+def _robust_cost(sample, delta: float):
+    """Total robust cost of a sample, with the |F| and inlier mask behind it."""
+    f, conf = sample[0], sample[3]
+    a = np.abs(f)
+    inlier = a <= delta
+    total = float(np.sum(conf * np.where(inlier, f * f, delta * (2.0 * a - delta))))
+    return total, a, inlier
 
 
 def cost(grid: SdfGrid, scan_points, pose: Pose2, huber_delta: float):
@@ -146,40 +164,39 @@ def cost(grid: SdfGrid, scan_points, pose: Pose2, huber_delta: float):
     The residual is NaN for a point without full known support; such a
     point adds nothing to the cost.
     """
-    world = transform_points(pose, scan_points)
-    f, _, _, conf, known = _sample(grid, world)
-    total = float(np.sum(conf * _huber_loss(f, huber_delta)))
-    return total, np.where(known, f, np.nan)
+    sample = _sample(grid, transform_points(pose, scan_points))
+    total, _, _ = _robust_cost(sample, huber_delta)
+    return total, np.where(sample[4], sample[0], np.nan)
 
 
-def _linearize(grid: SdfGrid, pts: np.ndarray, pose: Pose2, delta: float):
-    """Robust cost at ``pose`` and the IRLS normal equations H, g there."""
-    f, gx, gy, conf, _ = _sample(grid, transform_points(pose, pts))
+def _normal_equations(pts: np.ndarray, pose: Pose2, sample, a, inlier, delta: float):
+    """The IRLS normal equations H, g at ``pose`` from its sample and cost."""
+    f, gx, gy, conf, _ = sample
     c, s = math.cos(pose.theta), math.sin(pose.theta)
+    J = np.empty((len(pts), 3))
+    J[:, 0] = gx
+    J[:, 1] = gy
     # d(world point)/d(theta), chained with the field gradient.
-    dxdt = -s * pts[:, 0] - c * pts[:, 1]
-    dydt = c * pts[:, 0] - s * pts[:, 1]
-    J = np.column_stack((gx, gy, gx * dxdt + gy * dydt))
+    J[:, 2] = gx * (-s * pts[:, 0] - c * pts[:, 1]) + gy * (c * pts[:, 0] - s * pts[:, 1])
 
-    a = np.abs(f)
-    w = conf * np.where(a <= delta, 1.0, delta / np.maximum(a, 1e-300))
+    w = conf * np.where(inlier, 1.0, delta / np.maximum(a, 1e-300))
     Jw = J * w[:, None]
-    H = J.T @ Jw
-    g = Jw.T @ f
-    total = float(np.sum(conf * _huber_loss(f, delta)))
-    return total, H, g
+    return J.T @ Jw, Jw.T @ f
 
 
 def gauss_newton(grid: SdfGrid, scan_points, init: Pose2,
                  max_iters: int = MatchConfig.max_iters_stage1,
                  convergence_eps: float = MatchConfig.convergence_eps,
-                 huber_delta: float | None = None) -> MatchResult:
+                 huber_delta: float | None = None, *,
+                 first=None) -> MatchResult:
     """Minimize the robust SDF cost from ``init``.
 
     Stops at the iteration cap or when the relative cost change between two
     consecutive iterations falls below ``convergence_eps``. The best iterate
-    is tracked, so the returned pose never costs more than ``init``. A
-    ``huber_delta`` of None takes the grid's, from :meth:`MatchConfig.for_grid`.
+    is tracked, so the returned pose never costs more than ``init``, and the
+    result carries its sample. A ``huber_delta`` of None takes the grid's,
+    from :meth:`MatchConfig.for_grid`. ``first``, when given, is the sample
+    of ``scan_points`` at ``init``, which then is not sampled again.
     """
     pts = np.asarray(scan_points, dtype=np.float64).reshape(-1, 2)
     if len(pts) == 0:
@@ -188,29 +205,33 @@ def gauss_newton(grid: SdfGrid, scan_points, init: Pose2,
         huber_delta = MatchConfig.for_grid(grid).huber_delta
 
     pose = init
-    prev_cost, H, g = _linearize(grid, pts, pose, huber_delta)
-    best_pose, best_cost = pose, prev_cost
+    sample = _sample(grid, transform_points(pose, pts)) if first is None else first
+    prev_cost, a, inlier = _robust_cost(sample, huber_delta)
+    best_pose, best_cost, best_sample = pose, prev_cost, sample
     iters = 0
     converged = False
 
     for _ in range(max_iters):
+        # H and g are built only at a pose the loop steps from.
+        H, g = _normal_equations(pts, pose, sample, a, inlier, huber_delta)
         trace = float(np.trace(H))
         if not np.isfinite(trace) or trace <= 0.0:
             raise SingularHessian("zero normal matrix (no supported points)")
         eigs = np.linalg.eigvalsh(H)
         if eigs[-1] <= 0.0 or eigs[0] < _EIG_RATIO_MIN * eigs[-1]:
             raise SingularHessian("normal matrix is rank deficient")
-        Hd = H + (_DAMPING * trace) * np.eye(3)
+        Hd = H + (_DAMPING * trace) * _EYE3
         try:
             step = np.linalg.solve(Hd, -g)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian(str(exc)) from None
 
         pose = Pose2(pose.x + step[0], pose.y + step[1], pose.theta + step[2])
-        cur_cost, H, g = _linearize(grid, pts, pose, huber_delta)
+        sample = _sample(grid, transform_points(pose, pts))
+        cur_cost, a, inlier = _robust_cost(sample, huber_delta)
         iters += 1
         if cur_cost < best_cost:
-            best_pose, best_cost = pose, cur_cost
+            best_pose, best_cost, best_sample = pose, cur_cost, sample
         rel = abs(prev_cost - cur_cost) / max(prev_cost, 1e-300)
         prev_cost = cur_cost
         if rel < convergence_eps:
@@ -225,19 +246,24 @@ def gauss_newton(grid: SdfGrid, scan_points, init: Pose2,
         points_used=len(pts),
         points_trimmed=0,
         converged=converged,
+        sample=best_sample,
     )
 
 
-def trim_points(grid: SdfGrid, pts: np.ndarray, pose: Pose2, threshold: float):
+def trim_points(grid: SdfGrid, pts: np.ndarray, pose: Pose2, threshold: float,
+                sample=None):
     """Mask of points kept for the second stage.
 
     A point survives when it is supported, as :func:`cost` counts it (all
     four surrounding nodes known), and its distance F lies strictly inside
     the threshold band, so every kept point carries a residual. The
     comparison runs at the grid's native float32 grain so that saturated
-    cells trim at the default threshold (the truncation distance).
+    cells trim at the default threshold (the truncation distance). A given
+    ``sample`` of ``pts`` at ``pose`` is read instead of sampling again.
     """
-    f, _, _, _, known = _sample(grid, transform_points(pose, pts))
+    if sample is None:
+        sample = _sample(grid, transform_points(pose, pts))
+    f, known = sample[0], sample[4]
     return known & (np.abs(f.astype(np.float32)) < np.float32(threshold))
 
 
@@ -249,7 +275,9 @@ def match_two_stage(grid: SdfGrid, scan, init: Pose2,
     the points whose distance value at the stage-one pose lies outside the
     trim threshold and re-optimizes on the survivors, which removes the
     influence of range outliers that landed inside the truncation band.
-    Distances ``cfg`` leaves unset are taken from ``grid``.
+    Each pose visited is sampled once: the trim reads stage one's sample at
+    its best pose, and stage two starts from the kept part of it. Distances
+    ``cfg`` leaves unset are taken from ``grid``.
     """
     cfg = MatchConfig.for_grid(grid, cfg)
     pts = scan_to_points(scan)
@@ -258,13 +286,14 @@ def match_two_stage(grid: SdfGrid, scan, init: Pose2,
     stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1,
                           cfg.convergence_eps, cfg.huber_delta)
 
-    keep = trim_points(grid, pts, stage1.pose, cfg.trim_threshold)
+    keep = trim_points(grid, pts, stage1.pose, cfg.trim_threshold, stage1.sample)
     n_keep = int(keep.sum())
     if n_keep < 10:
         raise TooFewPoints(f"only {n_keep} of {n_valid} points survived trimming")
 
     stage2 = gauss_newton(grid, pts[keep], stage1.pose, cfg.max_iters_stage2,
-                          cfg.convergence_eps, cfg.huber_delta)
+                          cfg.convergence_eps, cfg.huber_delta,
+                          first=tuple(a[keep] for a in stage1.sample))
     return MatchResult(
         pose=stage2.pose,
         final_cost=stage2.final_cost,

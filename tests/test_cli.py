@@ -57,6 +57,8 @@ def pipeline(tmp_path_factory):
     steps["eval-slam"] = run("eval", "--est", d / "slam" / "trajectory.txt",
                              "--gt", d / "gt.txt")
     steps["eval-localize"] = run("eval", "--est", d / "loc.txt", "--gt", d / "gt.txt")
+    steps["eval-localize-world"] = run("eval", "--est", d / "loc.txt", "--gt", d / "gt.txt",
+                                       "--anchor-gt", d / "gt.txt")
     steps["export"] = run("export", "--map", d / "slam" / "map.sdf2",
                           "--out", d / "map.pgm")
     return d, steps
@@ -94,6 +96,19 @@ class TestPipeline:
         assert "0 match failures" in steps["localize"][1]
         assert rmse_translation(steps["eval-localize"][1]) < 0.005
 
+    def test_eval_in_the_world_frame(self, pipeline):
+        # The localized log is the map log, so its gt's first pose is the
+        # map-to-world transform. Only the anchored eval adds p95 and max.
+        _, steps = pipeline
+        keys = ["rmse_translation", "rmse_rotation"]
+        world = steps["eval-localize-world"][1]
+        assert [line.split()[0] for line in steps["eval-localize"][1].splitlines()] == keys
+        assert [line.split()[0] for line in world.splitlines()] == keys + [
+            "p95_translation", "max_translation"]
+        values = {line.split()[0]: float(line.split()[1]) for line in world.splitlines()}
+        assert values["rmse_translation"] <= values["max_translation"] < 0.015
+        assert values["p95_translation"] <= values["max_translation"]
+
     def test_localize_survives_a_failed_frame(self, pipeline):
         # The empty record cannot be matched: it keeps its predicted pose,
         # and every other frame is still localized and written.
@@ -114,6 +129,14 @@ class TestUsage:
             run("localize", "--map", tmp_path / "m.sdf2", "--log", tmp_path / "l.txt",
                 "--out", tmp_path / "o.txt", "--iters1", 3)
         assert exc.value.code == 2
+
+    def test_nan_setting_stops_with_a_diagnostic(self, tmp_path):
+        # The settings are checked before any file is read.
+        code, text = run("localize", "--map", tmp_path / "m.sdf2", "--log",
+                         tmp_path / "l.txt", "--out", tmp_path / "o.txt", "--trim", "nan")
+        assert code == 1
+        assert "trim_threshold must be positive" in text
+        assert not (tmp_path / "o.txt").exists()
 
     def test_scans_rejected_for_scenario_file(self, tmp_path):
         # A scenario file sets its own frame count from its waypoints.

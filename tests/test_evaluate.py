@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdfslam.evaluate import LengthMismatch, TimingStats, evaluate_trajectory
-from sdfslam.geometry import Pose2, compose
+from sdfslam.geometry import Pose2, compose, inverse
 
 
 def _lap(n=12):
@@ -30,6 +30,33 @@ class TestEvaluateTrajectory:
         assert report.rmse_rotation == pytest.approx(0.0, abs=1e-12)
         assert report.errors_translation[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_world_frame_offset_shows_only_when_anchored(self):
+        # A map-frame estimate whose world poses are all 5 mm off the truth:
+        # aligning the first frames hides the offset, the map-to-world
+        # anchor shows it on every frame, the first included.
+        gt = _lap()
+        anchor = Pose2(3.0, -1.5, 2.2)
+        est = [compose(inverse(anchor), Pose2(p.x + 0.003, p.y - 0.004, p.theta))
+               for p in gt]
+        aligned = evaluate_trajectory(est, gt)
+        anchored = evaluate_trajectory(est, gt, anchor)
+        assert aligned.rmse_translation == pytest.approx(0.0, abs=1e-12)
+        assert aligned.max_translation == pytest.approx(0.0, abs=1e-12)
+        for value in (anchored.rmse_translation, anchored.p95_translation,
+                      anchored.max_translation, anchored.errors_translation[0]):
+            assert value == pytest.approx(0.005, abs=1e-12)
+        assert anchored.rmse_rotation == pytest.approx(0.0, abs=1e-12)
+
+    def test_p95_and_max_skip_the_aligned_frame(self):
+        gt = [Pose2(0.0, 0.0, 0.0)] * 21
+        est = [Pose2(0.5, 0.0, 0.0)] + [Pose2(0.001 * k, 0.0, 0.0) for k in range(20)]
+        report = evaluate_trajectory(est, gt)
+        # After aligning frame 0, frame k + 1 is off by |0.001 k - 0.5|.
+        errors = [abs(0.001 * k - 0.5) for k in range(20)]
+        assert report.max_translation == pytest.approx(max(errors), abs=1e-12)
+        assert report.p95_translation == pytest.approx(float(np.percentile(errors, 95)),
+                                                       abs=1e-12)
+
     def test_rotation_error_across_the_wrap(self):
         # pi - 0.01 and -pi + 0.01 are 0.02 rad apart, not 2*pi - 0.02.
         gt = [Pose2(0.0, 0.0, 0.0), Pose2(1.0, 0.0, math.pi - 0.01)]
@@ -46,6 +73,7 @@ class TestEvaluateTrajectory:
     def test_single_frame_has_zero_rmse(self):
         report = evaluate_trajectory([Pose2(1.0, 2.0, 0.3)], [Pose2(0.0, 0.0, 0.0)])
         assert (report.rmse_translation, report.rmse_rotation) == (0.0, 0.0)
+        assert (report.p95_translation, report.max_translation) == (0.0, 0.0)
 
 
 class TestTimingStats:

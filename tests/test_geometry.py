@@ -145,6 +145,10 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             GridGeometry(0, 0, 0.05, 0, 5)
 
+    def test_rejects_nan_resolution(self):
+        with pytest.raises(ValueError):
+            GridGeometry(0, 0, math.nan, 5, 5)
+
     def test_vectorized_matches_scalar(self):
         geom = GridGeometry(0.2, -0.4, 0.1, 25, 25)
         rng = np.random.default_rng(6)

@@ -3,17 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from sdfslam import kernels
-from sdfslam.geometry import GridGeometry, Pose2, compose, inverse, scan_to_points
+from sdfslam import kernels, matching
+from sdfslam.geometry import (
+    GridGeometry,
+    Pose2,
+    compose,
+    inverse,
+    scan_to_points,
+    transform_points,
+)
 from sdfslam.mapping import ExpansionPolicy, SdfGrid
 from sdfslam.matching import (
     MatchConfig,
+    MatchResult,
     SingularHessian,
     TooFewPoints,
     cost,
     gauss_newton,
     match_two_stage,
     predict_pose,
+    trim_points,
 )
 from sdfslam.simulate import SensorModel, simulate_scan
 from sdfslam.submaps import SubmapCollection
@@ -27,6 +36,15 @@ def _uniform_grid(value=0.02, weight=4.0, n=30):
     grid.F[:] = value
     grid.W[:] = weight
     return grid
+
+
+class TestMatchConfig:
+    @pytest.mark.parametrize("name", ["max_iters_stage1", "trim_threshold",
+                                      "huber_delta", "convergence_eps"])
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan])
+    def test_rejects_non_positive_and_nan(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MatchConfig(**{name: value})
 
 
 class TestSampleSdf:
@@ -210,6 +228,32 @@ class TestGaussNewton:
         assert a == b
 
 
+def _young_submap_case():
+    """A three-scan submap and a fourth scan, with its init in the submap frame."""
+    world = make_square_world()
+    model = SensorModel(noise_sigma=0.005, seed=70)
+    coll = SubmapCollection()
+    for k, pose in enumerate([Pose2(0.0, 0.0, 0.0), Pose2(0.1, 0.05, 0.2),
+                              Pose2(0.2, 0.1, 0.4)]):
+        scan, _ = simulate_scan(world, pose, model, scan_index=k)
+        coll.add_scan(scan, pose, ExpansionPolicy.for_resolution(coll.resolution))
+    target = coll.matching_target()
+    scan, _ = simulate_scan(world, Pose2(0.3, 0.15, 0.6), model, scan_index=3)
+    return target.grid, scan, compose(inverse(target.pose), Pose2(0.3, 0.15, 0.6))
+
+
+@pytest.fixture(params=["clean", "outliers", "young-submap"])
+def match_case(request, room_map):
+    """(grid, scan, init) for a clean scan, an outlier scan and a young submap."""
+    if request.param == "young-submap":
+        return _young_submap_case()
+    truth = Pose2(0.05, -0.05, 0.3)
+    rate = 0.12 if request.param == "outliers" else 0.0
+    scan, _ = simulate_scan(make_square_world(), truth,
+                            SensorModel(noise_sigma=0.005, outlier_rate=rate, seed=18))
+    return room_map, scan, Pose2(truth.x + 0.01, truth.y - 0.01, truth.theta + 0.01)
+
+
 class TestMatchTwoStage:
     def test_clean_scan_trims_nothing(self, room_map):
         world = make_square_world()
@@ -259,8 +303,6 @@ class TestMatchTwoStage:
         scan, _ = simulate_scan(world, truth,
                                 SensorModel(noise_sigma=0.005, seed=16))
         r1 = match_two_stage(room_map, scan, truth)
-        from sdfslam.matching import trim_points
-
         pts = scan_to_points(scan)
         keep1 = trim_points(room_map, pts, r1.pose, room_map.truncation)
         r2 = gauss_newton(room_map, pts[keep1], r1.pose, 20, 1e-6, 0.2)
@@ -272,28 +314,53 @@ class TestMatchTwoStage:
         # A young submap's observed space ends close to its walls, so some
         # points of a new scan sit next to unknown nodes. Such a point has
         # no residual, so the trim must not count it as used.
-        from sdfslam.matching import trim_points
-
-        world = make_square_world()
-        model = SensorModel(noise_sigma=0.005, seed=70)
-        coll = SubmapCollection()
-        for k, pose in enumerate([Pose2(0.0, 0.0, 0.0), Pose2(0.1, 0.05, 0.2),
-                                  Pose2(0.2, 0.1, 0.4)]):
-            scan, _ = simulate_scan(world, pose, model, scan_index=k)
-            coll.add_scan(scan, pose, ExpansionPolicy.for_resolution(coll.resolution))
-        target = coll.matching_target()
-        scan, _ = simulate_scan(world, Pose2(0.3, 0.15, 0.6), model, scan_index=3)
-        init = compose(inverse(target.pose), Pose2(0.3, 0.15, 0.6))
-        cfg = MatchConfig.for_grid(target.grid)
+        grid, scan, init = _young_submap_case()
+        cfg = MatchConfig.for_grid(grid)
         pts = scan_to_points(scan)
 
-        stage1 = gauss_newton(target.grid, pts, init, cfg.max_iters_stage1,
+        stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1,
                               cfg.convergence_eps, cfg.huber_delta)
-        keep = trim_points(target.grid, pts, stage1.pose, cfg.trim_threshold)
-        _, residuals = cost(target.grid, pts[keep], stage1.pose, cfg.huber_delta)
-        result = match_two_stage(target.grid, scan, init, cfg)
+        keep = trim_points(grid, pts, stage1.pose, cfg.trim_threshold)
+        _, residuals = cost(grid, pts[keep], stage1.pose, cfg.huber_delta)
+        result = match_two_stage(grid, scan, init, cfg)
         assert result.points_used == np.count_nonzero(np.isfinite(residuals))
         assert np.isfinite(residuals).all()
+
+    def test_samples_each_pose_once(self, match_case, monkeypatch):
+        # Stage one samples its init and each iterate; the trim and stage
+        # two's start reuse stage one's sample at its best pose.
+        grid, scan, init = match_case
+        calls = []
+        sample = matching._sample
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(matching, "_sample", counted)
+        result = match_two_stage(grid, scan, init)
+        assert len(calls) == (result.iterations_stage1 + 1) + result.iterations_stage2
+
+    def test_equals_public_stage_composition(self, match_case):
+        # Reusing the sample changes no bit of the result. Stage one's
+        # result carries the sample of its points at its best pose.
+        grid, scan, init = match_case
+        cfg = MatchConfig.for_grid(grid)
+        pts = scan_to_points(scan)
+        stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1,
+                              cfg.convergence_eps, cfg.huber_delta)
+        keep = trim_points(grid, pts, stage1.pose, cfg.trim_threshold)
+        n_keep = int(keep.sum())
+        stage2 = gauss_newton(grid, pts[keep], stage1.pose, cfg.max_iters_stage2,
+                              cfg.convergence_eps, cfg.huber_delta)
+        expected = MatchResult(stage2.pose, stage2.final_cost, stage1.iterations_stage1,
+                               stage2.iterations_stage1, n_keep, len(pts) - n_keep,
+                               stage2.converged)
+
+        assert match_two_stage(grid, scan, init) == expected
+        fresh = matching._sample(grid, transform_points(stage1.pose, pts))
+        for got, want in zip(stage1.sample, fresh, strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestPredictPose:
