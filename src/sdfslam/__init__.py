@@ -1,6 +1,6 @@
 """2D laser SLAM and pure localization on signed-distance-function maps."""
 
-from .geometry import GridGeometry, LaserScan, Pose2, compose, inverse, transform_point
+from .geometry import GridGeometry, LaserScan, Pose2, compose, inverse, transform_points
 from .mapping import ExpansionPolicy, SdfGrid, integrate_scan
 from .matching import MatchConfig, MatchResult, match_two_stage
 from .submaps import MergedMap, Submap, SubmapCollection, merge_submaps, pure_localize
@@ -13,7 +13,7 @@ __all__ = [
     "Pose2",
     "compose",
     "inverse",
-    "transform_point",
+    "transform_points",
     "ExpansionPolicy",
     "SdfGrid",
     "integrate_scan",

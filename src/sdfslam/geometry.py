@@ -61,14 +61,8 @@ def inverse(p: Pose2) -> Pose2:
     return Pose2(-(c * p.x + s * p.y), -(-s * p.x + c * p.y), -p.theta)
 
 
-def transform_point(p: Pose2, d: tuple[float, float]) -> tuple[float, float]:
-    """Map a point from the pose's own frame into the parent frame."""
-    c, s = math.cos(p.theta), math.sin(p.theta)
-    return (p.x + c * d[0] - s * d[1], p.y + s * d[0] + c * d[1])
-
-
 def transform_points(p: Pose2, pts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`transform_point` for an (n, 2) array."""
+    """Map an (n, 2) array of points from the pose's own frame into the parent frame."""
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
     c, s = math.cos(p.theta), math.sin(p.theta)
     out = np.empty_like(pts)

@@ -76,7 +76,7 @@ def bilinear_fw(F, W, ox, oy, res, trunc, pts):
     """Sample the plain distance field F and the weight field W bilinearly.
 
     Unknown cells store F = +trunc by convention, so no node substitution is
-    needed. Points outside the interior return (trunc, 0).
+    needed. Points outside the interior, non-finite ones too, return (trunc, 0).
 
     Returns (f_values, w_values) float64 arrays.
     """
@@ -86,18 +86,9 @@ def bilinear_fw(F, W, ox, oy, res, trunc, pts):
     u = (pts[:, 0] - ox) / res
     v = (pts[:, 1] - oy) / res
     inside = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-
-    n = len(pts)
-    fv = np.full(n, trunc, dtype=np.float64)
-    wv = np.zeros(n, dtype=np.float64)
-    if not inside.any():
-        return fv, wv
-
-    ui, vi = u[inside], v[inside]
-    i0 = np.minimum(np.floor(ui).astype(np.int64), w - 2)
-    j0 = np.minimum(np.floor(vi).astype(np.int64), h - 2)
-    tu = ui - i0
-    tv = vi - j0
+    # fmin and fmax send NaN to the bound, so every index lies in the grid.
+    i0 = np.fmin(np.fmax(u, 0.0), w - 2.0).astype(np.int64)
+    j0 = np.fmin(np.fmax(v, 0.0), h - 2.0).astype(np.int64)
 
     def lerp(arr):
         a00, a10, a01, a11 = (x.astype(np.float64) for x in _gather_nodes(arr, i0, j0))
@@ -105,9 +96,11 @@ def bilinear_fw(F, W, ox, oy, res, trunc, pts):
             (1.0 - tu) * a01 + tu * a11
         )
 
-    fv[inside] = lerp(F)
-    wv[inside] = lerp(W)
-    return fv, wv
+    # A point outside the interior may give NaN or inf before the mask.
+    with np.errstate(invalid="ignore", over="ignore"):
+        tu = u - i0
+        tv = v - j0
+        return np.where(inside, lerp(F), trunc), np.where(inside, lerp(W), 0.0)
 
 
 # No caller in the package: the benchmark traces it and the tests use it as

@@ -108,45 +108,42 @@ def _sample(grid: SdfGrid, world: np.ndarray):
 
     Returns ``(f, gx, gy, conf, known)``. ``known`` marks the points inside
     the interior whose four surrounding nodes all have W > 0; the other
-    points get zeros everywhere, so they carry no residual and no weight.
-    This holds also for a point exactly on a node's column or row: the next
-    nodes have zero weight in F there, but the gradient across the column
-    or row reads them. The rule is therefore stricter, on purpose, than the
-    merge's ``kernels.bicubic_fw``, which needs only a value.
+    points, off-grid and non-finite ones among them, get zeros everywhere,
+    so they carry no residual and no weight. This holds also for a point
+    exactly on a node's column or row: the next nodes have zero weight in F
+    there, but the gradient across the column or row reads them. The rule
+    is therefore stricter, on purpose, than the merge's
+    ``kernels.bicubic_fw``, which needs only a value.
     """
     geom = grid.geometry
     h, w = grid.F.shape
-    n = len(world)
 
     u = (world[:, 0] - geom.origin_x) / geom.resolution
     v = (world[:, 1] - geom.origin_y) / geom.resolution
-    idx = np.flatnonzero((u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0))
-    u, v = u[idx], v[idx]
-    i0 = np.minimum(u.astype(np.int64), w - 2)
-    j0 = np.minimum(v.astype(np.int64), h - 2)
+    inside = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    # fmin and fmax send NaN to the bound, so every index lies in the grid;
+    # for an interior point this is min(int(u), w - 2).
+    i0 = np.fmin(np.fmax(u, 0.0), w - 2.0).astype(np.int64)
+    j0 = np.fmin(np.fmax(v, 0.0), h - 2.0).astype(np.int64)
     # One row per corner, (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1).
     nodes = (j0 * w + i0) + np.array([[0], [1], [w], [w + 1]])
     wn = grid.W.ravel().take(nodes)
-    full = np.all(wn > 0.0, axis=0)
-    if not full.all():
-        idx, u, v, i0, j0 = idx[full], u[full], v[full], i0[full], j0[full]
-        nodes, wn = nodes[:, full], wn[:, full]
-    tu = u - i0
-    tv = v - j0
-    su = 1.0 - tu
-    sv = 1.0 - tv
+    known = inside & np.all(wn > 0.0, axis=0)
     f00, f10, f01, f11 = grid.F.ravel().take(nodes).astype(np.float64)
     w00, w10, w01, w11 = wn
 
-    # Rows f, gx, gy, conf; the unsupported points keep zeros.
-    out = np.zeros((4, n))
-    out[0, idx] = sv * (su * f00 + tu * f10) + tv * (su * f01 + tu * f11)
-    out[1, idx] = (sv * (f10 - f00) + tv * (f11 - f01)) / geom.resolution
-    out[2, idx] = (su * (f01 - f00) + tu * (f11 - f10)) / geom.resolution
-    out[3, idx] = (sv * (su * w00 + tu * w10) + tv * (su * w01 + tu * w11)) / grid.w_max
-    known = np.zeros(n, dtype=bool)
-    known[idx] = True
-    return out[0], out[1], out[2], out[3], known
+    # An unsupported point may hold NaN or inf here, until the mask zeroes it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        tu = u - i0
+        tv = v - j0
+        su = 1.0 - tu
+        sv = 1.0 - tv
+        f = sv * (su * f00 + tu * f10) + tv * (su * f01 + tu * f11)
+        gx = (sv * (f10 - f00) + tv * (f11 - f01)) / geom.resolution
+        gy = (su * (f01 - f00) + tu * (f11 - f10)) / geom.resolution
+        conf = (sv * (su * w00 + tu * w10) + tv * (su * w01 + tu * w11)) / grid.w_max
+    f, gx, gy, conf = np.where(known, [f, gx, gy, conf], 0.0)
+    return f, gx, gy, conf, known
 
 
 def _robust_cost(sample, delta: float):

@@ -21,6 +21,9 @@ from .geometry import LaserScan, Pose2, normalize_angle
 DISCONTINUITY_STEP = 0.5
 DISCONTINUITY_BOOST = 5.0
 
+# Scans per second, unless a scenario sets its own.
+SCAN_RATE = 10.0
+
 
 @dataclass(frozen=True)
 class DynamicSegment:
@@ -213,7 +216,7 @@ def simulate_scan(world: World, pose: Pose2, model: SensorModel,
 
 
 def run_scenario(world: World, script: TrajectoryScript, model: SensorModel,
-                 rate: float = 10.0):
+                 rate: float = SCAN_RATE):
     """Sample poses along the script and emit (timestamp, scan, true pose) records.
 
     Scans are taken at a fixed rate from the script start to its end,
@@ -271,8 +274,7 @@ def rectangle_circuit(noise_sigma: float = 0.005, outlier_rate: float = 0.0,
     # Rounded-rectangle loop 1.3m inside the walls, heading along the path.
     x, y = 3.7, 2.7
     corner_pts = [(-x, -y), (x, -y), (x, y), (-x, y), (-x, -y)]
-    rate = 10.0
-    duration = (scans - 1) / rate
+    duration = (scans - 1) / SCAN_RATE
     legs = [math.hypot(bx - ax, by - ay)
             for (ax, ay), (bx, by) in zip(corner_pts, corner_pts[1:])]
     cum = [0.0]
@@ -287,7 +289,18 @@ def rectangle_circuit(noise_sigma: float = 0.005, outlier_rate: float = 0.0,
     script = TrajectoryScript(waypoints)
 
     model = SensorModel(noise_sigma=noise_sigma, outlier_rate=outlier_rate, seed=seed)
-    return world, script, model, rate
+    return world, script, model, SCAN_RATE
+
+
+# Scenario file keys that set a SensorModel field: key -> (field, parser).
+_SENSOR_KEYS = {
+    "beams": ("beam_count", int), "fov_deg": ("fov", lambda v: math.radians(float(v))),
+    "range_min": ("range_min", float), "range_max": ("range_max", float),
+    "noise_sigma": ("noise_sigma", float), "outlier_rate": ("outlier_rate", float),
+    "outlier_mode": ("outlier_mode", str), "seed": ("seed", int),
+}
+# Numbers on each repeatable line.
+_LINE_NUMBERS = {"segment": 4, "dynamic": 6, "waypoint": 4}
 
 
 def parse_scenario(path):
@@ -299,18 +312,16 @@ def parse_scenario(path):
     - ``dynamic = x1 y1 x2 y2 first last`` (repeatable) scheduled wall
     - ``waypoint = t x y theta`` (repeatable) trajectory sample
     - ``rate``, ``beams``, ``fov_deg``, ``range_min``, ``range_max``,
-      ``noise_sigma``, ``outlier_rate``, ``outlier_mode``, ``seed``
+      ``noise_sigma``, ``outlier_rate``, ``outlier_mode``, ``seed``; a key
+      left out takes :data:`SCAN_RATE` or :class:`SensorModel`'s default
 
     Returns (world, script, model, rate).
     """
     segments = []
     dynamics = []
     waypoints = []
-    scalars = {
-        "rate": 10.0, "beams": 271, "fov_deg": 270.0, "range_min": 0.05,
-        "range_max": 10.0, "noise_sigma": 0.0, "outlier_rate": 0.0,
-        "outlier_mode": "discontinuity", "seed": 0,
-    }
+    rate = SCAN_RATE
+    sensor = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -321,6 +332,9 @@ def parse_scenario(path):
             key, value = (part.strip() for part in line.split("=", 1))
             fields = value.split()
             try:
+                want = _LINE_NUMBERS.get(key, len(fields))
+                if len(fields) != want:
+                    raise ValueError(f"{key} takes {want} numbers, got {len(fields)}")
                 if key == "segment":
                     segments.append(tuple(float(v) for v in fields))
                 elif key == "dynamic":
@@ -329,12 +343,14 @@ def parse_scenario(path):
                 elif key == "waypoint":
                     t, x, y, theta = (float(v) for v in fields)
                     waypoints.append((t, Pose2(x, y, theta)))
-                elif key in scalars:
-                    kind = type(scalars[key])
-                    scalars[key] = kind(value)
+                elif key == "rate":
+                    rate = float(value)
+                elif key in _SENSOR_KEYS:
+                    name, parse = _SENSOR_KEYS[key]
+                    sensor[name] = parse(value)
                 else:
                     raise ValueError(f"unknown key {key!r}")
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
     if not segments:
         raise ValueError(f"{path}: scenario has no segments")
@@ -342,17 +358,7 @@ def parse_scenario(path):
         raise ValueError(f"{path}: scenario has no waypoints")
     world = World(np.asarray(segments, dtype=np.float64), dynamics)
     script = TrajectoryScript(sorted(waypoints, key=lambda w: w[0]))
-    model = SensorModel(
-        beam_count=int(scalars["beams"]),
-        fov=math.radians(float(scalars["fov_deg"])),
-        range_min=float(scalars["range_min"]),
-        range_max=float(scalars["range_max"]),
-        noise_sigma=float(scalars["noise_sigma"]),
-        outlier_rate=float(scalars["outlier_rate"]),
-        outlier_mode=str(scalars["outlier_mode"]),
-        seed=int(scalars["seed"]),
-    )
-    return world, script, model, float(scalars["rate"])
+    return world, script, SensorModel(**sensor), rate
 
 
 def straight_wall_sweep(wall_x: float = 8.0, half_span: float = 4.0,

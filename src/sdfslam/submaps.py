@@ -80,6 +80,14 @@ class SubmapCollection:
     w_max: float = 10.0
     submaps: list[Submap] = field(default_factory=list)
 
+    def __post_init__(self):
+        # A one-scan submap finishes before it can be a matching target.
+        if self.scans_per_submap < 2:
+            raise ValueError("scans_per_submap must be at least 2")
+        for name in ("truncation", "w_max"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive")
+
     def unfinished(self) -> list[Submap]:
         return [s for s in self.submaps if not s.finished]
 

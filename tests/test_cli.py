@@ -116,6 +116,15 @@ class TestPipeline:
         assert "localize: 120 scans, 1 match failures" in steps["localize-gap"][1]
         assert len((d / "loc_gap.txt").read_text().splitlines()) == FRAMES
 
+    def test_slam_rejects_one_scan_submaps(self, pipeline, tmp_path):
+        # Every submap would finish before it could be a matching target.
+        d, _ = pipeline
+        code, text = run("slam", "--log", d / "log.txt", "--out-dir", tmp_path / "slam",
+                         "--submap-scans", 1)
+        assert code == 1
+        assert "scans_per_submap must be at least 2" in text
+        assert not (tmp_path / "slam").exists()
+
     def test_export_writes_image(self, pipeline):
         d, steps = pipeline
         assert (d / "map.pgm").read_bytes().startswith(b"P5\n")

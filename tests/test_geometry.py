@@ -12,7 +12,6 @@ from sdfslam.geometry import (
     inverse,
     normalize_angle,
     scan_to_points,
-    transform_point,
     transform_points,
 )
 
@@ -47,17 +46,17 @@ class TestPose:
 
     def test_quarter_turn_point(self):
         p = Pose2(1.0, 0.0, math.pi / 2)
-        x, y = transform_point(p, (1.0, 0.0))
+        x, y = transform_points(p, [(1.0, 0.0)])[0]
         assert math.isclose(x, 1.0, abs_tol=1e-15)
         assert math.isclose(y, 1.0, abs_tol=1e-15)
 
     def test_half_turn_point(self):
-        x, y = transform_point(Pose2(0, 0, math.pi), (1.0, 0.0))
+        x, y = transform_points(Pose2(0, 0, math.pi), [(1.0, 0.0)])[0]
         assert math.isclose(x, -1.0, abs_tol=1e-15)
         assert math.isclose(y, 0.0, abs_tol=1e-15)
 
     def test_identity_point(self):
-        assert transform_point(IDENTITY, (3.0, 4.0)) == (3.0, 4.0)
+        assert transform_points(IDENTITY, [(3.0, 4.0)]).tolist() == [[3.0, 4.0]]
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -82,10 +81,10 @@ class TestPose:
             m = pose_matrix(a) @ pose_matrix(b)
             c = compose(a, b)
             assert np.allclose(pose_matrix(c), m, atol=1e-12)
-            d = rng.uniform(-3, 3, 2)
-            expect = m @ np.array([d[0], d[1], 1.0])
-            got = transform_point(c, tuple(d))
-            assert np.allclose(got, expect[:2], atol=1e-12)
+            d = rng.uniform(-3, 3, (5, 2))
+            expect = np.column_stack((d, np.ones(5))) @ m.T
+            got = transform_points(c, d)
+            assert np.allclose(got, expect[:, :2], atol=1e-12)
 
     def test_associativity(self):
         rng = np.random.default_rng(4)
@@ -96,14 +95,6 @@ class TestPose:
             assert abs(lhs.x - rhs.x) < 1e-10
             assert abs(lhs.y - rhs.y) < 1e-10
             assert abs(normalize_angle(lhs.theta - rhs.theta)) < 1e-10
-
-    def test_batch_transform_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        p = random_pose(rng)
-        pts = rng.uniform(-2, 2, (50, 2))
-        batch = transform_points(p, pts)
-        for row, d in zip(batch, pts):
-            assert np.allclose(row, transform_point(p, tuple(d)), atol=1e-14)
 
 
 class TestLaserScan:

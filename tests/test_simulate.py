@@ -5,6 +5,7 @@ import pytest
 
 from sdfslam.geometry import Pose2, transform_points, scan_to_points
 from sdfslam.simulate import (
+    SCAN_RATE,
     DynamicSegment,
     SensorModel,
     TrajectoryScript,
@@ -267,3 +268,22 @@ class TestRunScenario:
         bad.write_text("nonsense line\n")
         with pytest.raises(ValueError):
             parse_scenario(bad)
+        # Lines with the wrong count of numbers name their file and line.
+        # Two 6-number segments would otherwise be re-cut into three walls.
+        for lines, line_no in (
+            (["segment = 0 0 1 0 1 1", "segment = 0 1 0 0 2 2"], 1),
+            (["segment = 0 0 1 0", "segment = 1 0 1"], 2),
+            (["segment = 0 0 1 0", "waypoint = 0 0 0 0", "dynamic = 0 1 1 1 2 4 9"], 3),
+            (["segment = 0 0 1 0", "dynamic = 0 1 1 1 2"], 2),
+            (["segment = 0 0 1 0", "waypoint = 0 0 0"], 2),
+        ):
+            bad.write_text("\n".join(lines + ["waypoint = 1 0 0 0"]) + "\n")
+            with pytest.raises(ValueError, match=rf"bad\.txt:{line_no}: "):
+                parse_scenario(bad)
+
+    def test_scenario_file_takes_sensor_defaults(self, tmp_path):
+        cfg = tmp_path / "scene.txt"
+        cfg.write_text("segment = -2 -2 2 -2\nwaypoint = 0 0 0 0\n")
+        _, _, model, rate = parse_scenario(cfg)
+        assert model == SensorModel()
+        assert rate == SCAN_RATE

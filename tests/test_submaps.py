@@ -11,7 +11,6 @@ from sdfslam.geometry import (
     Pose2,
     compose,
     inverse,
-    transform_point,
     transform_points,
 )
 from sdfslam.mapping import ExpansionPolicy, SdfGrid
@@ -56,6 +55,15 @@ class TestLifecycle:
         assert len(coll.submaps) == 1
         assert coll.submaps[0].scan_count == 1
         assert coll.submaps[0].grid.W.max() > 0
+
+    @pytest.mark.parametrize("setting", [
+        {"scans_per_submap": 0}, {"scans_per_submap": 1},
+        {"truncation": 0.0}, {"truncation": float("nan")},
+        {"w_max": 0.0}, {"w_max": -1.0}, {"w_max": float("nan")},
+    ])
+    def test_rejects_unworkable_settings(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            SubmapCollection(**setting)
 
     def test_window_trace(self):
         n = 10
@@ -124,8 +132,7 @@ class TestMergedBounds:
         span = geom.width * 0.05
         assert span >= 2.0 * math.sqrt(2.0)
         # All four transformed corners fall inside the merged area.
-        for corner in sm.grid.geometry.corners():
-            x, y = transform_point(sm.pose, corner)
+        for x, y in transform_points(sm.pose, sm.grid.geometry.corners()):
             col, row = geom.world_to_cell(x, y)
             assert geom.contains(col, row)
 
@@ -300,7 +307,7 @@ class TestMerge:
                 t = f[c] / (f[c] - f[c + 1])
                 p = (geom.origin_x + (c + t) * geom.resolution,
                      geom.origin_y + row * geom.resolution)
-                offsets.append(transform_point(inverse(sm.pose), p)[0] - wall)
+                offsets.append(transform_points(inverse(sm.pose), p)[0, 0] - wall)
         return np.asarray(offsets)
 
     def test_off_lattice_wall_zero_crossing(self):
