@@ -37,10 +37,6 @@ class Pose2:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", normalize_angle(float(self.theta)))
 
-    @property
-    def translation(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 IDENTITY = Pose2(0.0, 0.0, 0.0)
 

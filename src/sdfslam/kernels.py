@@ -166,33 +166,6 @@ def _catmull_rom_weights(t):
     return w0, w1, w2, w3
 
 
-# Side of the blocks that live_tiles lists, in cells.
-_TILE = 8
-
-
-def live_tiles(W):
-    """Squares, in cell coordinates, that hold every sample bicubic_fw calls valid.
-
-    The grid is cut into fixed 8x8-cell tiles, and a tile is live when at
-    least one of its cells is known (W > 0). :func:`bicubic_fw` calls a
-    sample valid only when it is interior and its nearest node, cell
-    (floor u, floor v), is known, so every valid sample lies in the unit
-    square [i, i+1] x [j, j+1] of a known cell (i, j) and inside the
-    interior, hence in the square of that cell's live tile cut to
-    [0, width-1] x [0, height-1].
-
-    Returns (lo, hi), float64 arrays of shape (n, 2) holding the (u, v)
-    lower and upper corners of each live tile's square; cell (i, j) is
-    centered at u = i, v = j.
-    """
-    h, w = W.shape
-    live = np.logical_or.reduceat(W > 0.0, np.arange(0, h, _TILE), axis=0)
-    live = np.logical_or.reduceat(live, np.arange(0, w, _TILE), axis=1)
-    tj, ti = np.nonzero(live)
-    lo = _TILE * np.column_stack((ti, tj)).astype(np.float64)
-    return lo, np.minimum(lo + _TILE, (w - 1.0, h - 1.0))
-
-
 def bicubic_fw(F, W, ox, oy, res, trunc, pts):
     """Resample F and W at points, trusting only known cells.
 
@@ -200,7 +173,7 @@ def bicubic_fw(F, W, ox, oy, res, trunc, pts):
     nearest cells that carries a nonzero bilinear weight is known (W > 0);
     anything else reports invalid. The nearest cell, (floor u, floor v),
     always carries weight, so a valid sample lies in a known cell's unit
-    square; :func:`live_tiles` relies on this. This function alone decides
+    square; ``submaps._cover`` relies on this. This function alone decides
     which taps a valid sample may use:
 
     - when its whole 4x4 patch (rows and cols index-clamped at the borders)

@@ -76,6 +76,13 @@ class SensorModel:
     seed: int = 0
 
     def __post_init__(self):
+        # Each check fails on NaN too.
+        if not self.beam_count >= 1:
+            raise ValueError("beam_count must be at least 1")
+        if not 0.0 <= self.range_min < self.range_max:
+            raise ValueError("range_min must be in [0, range_max)")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError("noise_sigma must be non-negative")
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ValueError("outlier_rate must be in [0, 1]")
         if self.outlier_mode not in ("discontinuity", "uniform"):
@@ -345,6 +352,8 @@ def parse_scenario(path):
                     waypoints.append((t, Pose2(x, y, theta)))
                 elif key == "rate":
                     rate = float(value)
+                    if not (rate > 0.0 and math.isfinite(rate)):
+                        raise ValueError("rate must be finite and positive")
                 elif key in _SENSOR_KEYS:
                     name, parse = _SENSOR_KEYS[key]
                     sensor[name] = parse(value)

@@ -3,7 +3,7 @@
 During SLAM, scans are inserted into a staggered window of at most two
 unfinished submaps; matching targets the older one so the target is always
 well populated. Finished submaps are later merged into a single grid by
-resampling each submap at the merged cell centers under its known tiles
+resampling each submap at the merged cell centers near its known cells
 (bicubic) and fusing with weighted means, taking the maximum weight. Pure
 localization registers scans against the merged grid without ever
 mutating it.
@@ -166,45 +166,45 @@ def merged_bounds(submaps) -> GridGeometry:
 def _cover(sm: Submap, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     """(cols, rows) of the merged cells where ``sm`` can be known.
 
-    Each of the submap's live tiles (``kernels.live_tiles``) goes through
-    the submap pose into merged cell coordinates. The cells of the mapped
-    square's bounding box, widened by one cell against rounding, are
-    painted into one cover with a 2-D difference array.
+    ``kernels.bicubic_fw`` calls a sample valid only in the unit square of a
+    known cell, so within sqrt(2)/2 cells of that square's center. The pose
+    is rigid and both grids share one resolution, so a merged cell whose
+    center can be valid lies, per axis, within sqrt(2)/2 merged cells of a
+    mapped square center m: it is ceil(m - 0.75) or the next cell. The
+    margin 0.75 exceeds sqrt(2)/2 by enough to absorb rounding and stays
+    below 1, so two cells per axis suffice.
     """
-    sgeom = sm.grid.geometry
-    lo, hi = kernels.live_tiles(sm.grid.W)
-    corners = np.concatenate([lo, hi, np.column_stack((lo[:, 0], hi[:, 1])),
-                              np.column_stack((hi[:, 0], lo[:, 1]))])
-    world = transform_points(sm.pose, sgeom.cells_to_world(corners[:, 0], corners[:, 1]))
-    uv = ((world - (geom.origin_x, geom.origin_y)) / geom.resolution).reshape(4, -1, 2)
-    c0, r0 = np.maximum(np.floor(uv.min(axis=0)).astype(np.int64) - 1, 0).T
-    c1, r1 = np.minimum(np.ceil(uv.max(axis=0)).astype(np.int64) + 1,
-                        (geom.width - 1, geom.height - 1)).T
-    inside = (c0 <= c1) & (r0 <= r1)
-    if not inside.any():
+    rows, cols = np.nonzero(sm.grid.W > 0.0)
+    if not len(rows):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    c0, r0, c1, r1 = c0[inside], r0[inside], c1[inside], r1[inside]
+    # Merged coordinates of cell (0, 0)'s square center, less the margin;
+    # the other centers follow by the pose's rotation alone.
+    center = transform_points(sm.pose, sm.grid.geometry.cells_to_world([0.5], [0.5]))
+    (u0, v0), = (center - (geom.origin_x, geom.origin_y)) / geom.resolution - 0.75
+    c, s = math.cos(sm.pose.theta), math.sin(sm.pose.theta)
+    lu = np.ceil(u0 + c * cols - s * rows).astype(np.int64)
+    lv = np.ceil(v0 + s * cols + c * rows).astype(np.int64)
 
-    # Difference array over the boxes' window, one spare row and column.
-    x0, y0 = c0.min(), r0.min()
-    nw, nh = c1.max() - x0 + 2, r1.max() - y0 + 2
-    rows = np.concatenate([r0, r0, r1 + 1, r1 + 1]) - y0
-    cols = np.concatenate([c0, c1 + 1, c0, c1 + 1]) - x0
-    signs = np.repeat([1.0, -1.0, -1.0, 1.0], len(c0))
-    diff = np.bincount(rows * nw + cols, signs, nh * nw).reshape(nh, nw)
-    np.cumsum(diff, axis=1, out=diff)
-    np.cumsum(diff, axis=0, out=diff)
-    rows, cols = np.divmod(np.flatnonzero(diff > 0.0), nw)
-    return cols + x0, rows + y0
+    # Mark each center's lower candidate over the candidates' window, then
+    # widen every mark to its 2x2 block.
+    x0, y0 = lu.min(), lv.min()
+    mark = np.zeros((lv.max() - y0 + 2, lu.max() - x0 + 2), dtype=bool)
+    mark[lv - y0, lu - x0] = True
+    mark[1:] |= mark[:-1]
+    mark[:, 1:] |= mark[:, :-1]
+    rows, cols = np.nonzero(mark)
+    cols, rows = cols + x0, rows + y0
+    inside = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
+    return cols[inside], rows[inside]
 
 
 def merge_submaps(submaps) -> MergedMap:
     """Fuse finished submaps into one integrated map.
 
     Submaps are folded in id order. Each submap is resampled at the centers
-    of the merged cells under its known tiles (8x8-cell blocks with a known
-    cell), the only cells where a sample can be valid; the distance values
-    fuse by weighted mean and the weight becomes the maximum of the two.
+    of the merged cells near its known cells (``_cover``), the only cells
+    where a sample can be valid; the distance values fuse by weighted mean
+    and the weight becomes the maximum of the two.
     Which cells a sample may read is decided by ``kernels.bicubic_fw``
     alone: samples it reports invalid (a nearest cell unknown) are skipped
     so unknown regions never dilute another submap's surface, and a sample

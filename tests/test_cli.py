@@ -147,6 +147,13 @@ class TestUsage:
         assert "trim_threshold must be positive" in text
         assert not (tmp_path / "o.txt").exists()
 
+    def test_negative_noise_stops_with_a_diagnostic(self, tmp_path):
+        code, text = run("simulate", "--scenario", "rectangle-circuit",
+                         "--out", tmp_path / "scans.log", "--noise-sigma", -0.05)
+        assert code == 1
+        assert "noise_sigma must be non-negative" in text
+        assert not (tmp_path / "scans.log").exists()
+
     def test_scans_rejected_for_scenario_file(self, tmp_path):
         # A scenario file sets its own frame count from its waypoints.
         code, text = run("simulate", "--scenario", tmp_path / "room.txt",

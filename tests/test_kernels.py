@@ -276,29 +276,6 @@ class TestBicubic:
             assert f[k] == pytest.approx(expect, abs=1e-12)
 
 
-class TestLiveTiles:
-    def test_squares_hold_every_valid_sample(self, impl):
-        # Ragged 37x45 grid, half unknown, with a band of dead tiles.
-        rng = np.random.default_rng(37)
-        F, W = random_grid(rng, h=37, w=45, unknown_frac=0.5)
-        W[:, 16:32] = 0.0
-        lo, hi = impl.live_tiles(W)
-
-        tiles = {(i, j) for j in range(0, 37, 8) for i in range(0, 45, 8)
-                 if (W[j:j + 8, i:i + 8] > 0).any()}
-        assert {(int(u), int(v)) for u, v in lo} == tiles
-        assert np.all(hi == np.minimum(lo + 8, (44, 36)))
-
-        # Random points plus every cell center, where on-node samples are valid.
-        jj, ii = np.mgrid[0:37, 0:45]
-        uv = np.concatenate([rng.uniform(-1.0, 46.0, (20000, 2)),
-                             np.column_stack((ii.ravel(), jj.ravel()))])
-        _, _, valid = impl.bicubic_fw(F, W, 0.0, 0.0, RES, TRUNC, uv * RES)
-        held = ((uv[:, None] >= lo) & (uv[:, None] <= hi)).all(axis=2).any(axis=1)
-        assert valid.sum() > 500
-        assert np.all(held[valid])
-
-
 class TestBenchmarkHooks:
     def test_tracer_patches_every_hook(self, monkeypatch):
         # The benchmark's tracer replaces module attributes by name; a renamed

@@ -179,6 +179,18 @@ class TestSimulateScan:
         assert abs(outliers / total - target) < 0.03
         assert probe.outlier_mode == "uniform"
 
+    @pytest.mark.parametrize("setting", [
+        {"noise_sigma": -0.05}, {"noise_sigma": float("nan")},
+        {"beam_count": 0}, {"range_min": -0.1},
+        {"range_min": 5.0, "range_max": 4.0}, {"range_min": 4.0, "range_max": 4.0},
+        {"range_max": float("nan")},
+    ])
+    def test_rejects_settings_that_simulate_something_else(self, setting):
+        # A negative or NaN sigma would give noise-free scans, and an empty
+        # range window or no beams would give scans with no valid reading.
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            SensorModel(**setting)
+
 
 class TestTrajectoryScript:
     def test_linear_interpolation(self):
@@ -276,6 +288,10 @@ class TestRunScenario:
             (["segment = 0 0 1 0", "waypoint = 0 0 0 0", "dynamic = 0 1 1 1 2 4 9"], 3),
             (["segment = 0 0 1 0", "dynamic = 0 1 1 1 2"], 2),
             (["segment = 0 0 1 0", "waypoint = 0 0 0"], 2),
+            # A rate that is not finite and positive would give no frames,
+            # divide by zero or overflow the frame count.
+            *((["segment = 0 0 1 0", f"rate = {rate}"], 2)
+              for rate in ("-5", "0", "nan", "inf")),
         ):
             bad.write_text("\n".join(lines + ["waypoint = 1 0 0 0"]) + "\n")
             with pytest.raises(ValueError, match=rf"bad\.txt:{line_no}: "):

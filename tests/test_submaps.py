@@ -327,7 +327,7 @@ class TestMerge:
     @staticmethod
     def _footprint_box_merge(subs, geom):
         """Reference merge: resample every merged cell in each submap's
-        footprint bounding box, as the merge did before the tile cover."""
+        footprint bounding box, as the merge did before ``_cover``."""
         first = subs[0].grid
         merged = SdfGrid.unknown(geom, first.truncation, first.w_max)
         for sm in sorted(subs, key=lambda s: s.id):
@@ -357,10 +357,10 @@ class TestMerge:
 
     @staticmethod
     def _masked_submaps(theta, rng):
-        """Submaps of 42 cells (the last tile is ragged) with random F and W
-        where known: cells on the grid border; cells in every tile corner;
-        one single cell; a 2x2 block in the far corner of a tile whose
-        neighbours are all unknown; a random field with holes punched in it.
+        """Submaps of 42 cells with random F and W where known: cells on the
+        grid border; cells at the corners of 8x8 blocks; one single cell; a
+        2x2 block whose neighbours are all unknown; a random field with
+        holes punched in it.
         """
         cells = 42
         masks = [np.zeros((cells, cells), dtype=bool) for _ in range(5)]
@@ -388,7 +388,7 @@ class TestMerge:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2 - 1e-9,
                                        -3 * math.pi / 4, math.pi])
     def test_cover_matches_footprint_box(self, theta, monkeypatch):
-        # Every cell the tile cover skips is invalid in the footprint box,
+        # Every cell the cover skips is invalid in the footprint box,
         # so the merged bytes must not change.
         subs = self._masked_submaps(theta, np.random.default_rng(69))
         on_lattice = replace(subs[2], pose=Pose2(0.02, 0.01, theta))
@@ -414,9 +414,9 @@ class TestMerge:
         assert got.F.tobytes() == expect.F.tobytes()
         assert got.W.tobytes() == expect.W.tobytes()
 
-    def test_single_known_cell_samples_one_tile(self, monkeypatch):
-        # The merge resamples the box of the one live tile, not the
-        # submap's whole 200-cell footprint.
+    def test_single_known_cell_samples_four_cells(self, monkeypatch):
+        # The merge resamples the 2x2 merged cells around the one known
+        # cell's square, not the submap's whole 200-cell footprint.
         sm = _known_submap(cells=200, fill_w=0.0, pose=Pose2(0.3, -0.2, 0.7))
         sm.grid.W[101, 57] = 3.0
         bicubic, points = kernels.bicubic_fw, []
@@ -427,9 +427,43 @@ class TestMerge:
 
         monkeypatch.setattr(kernels, "bicubic_fw", counting)
         merge_submaps([sm])
-        # A rotated 8x8-cell tile spans at most 8 * sqrt(2) cells per axis,
-        # plus rounding and a cell of margin on each side.
-        assert sum(points) <= (8 * math.sqrt(2.0) + 5.0) ** 2
+        assert sum(points) <= 4
+
+    def test_cover_holds_every_valid_cell(self):
+        # Every merged cell that bicubic_fw calls valid must be in the
+        # cover, once. Lattice poses put merged cell centers exactly on the
+        # corners of the known cells' squares.
+        rng = np.random.default_rng(71)
+        res, cells = 0.05, 30
+        poses = [Pose2(res * a, res * b, t)
+                 for t in (0.0, math.pi / 2, -math.pi / 2, math.pi)
+                 for a, b in ((0, 0), (3, -7))]
+        poses += [Pose2(*rng.uniform(-2.0, 2.0, 2), rng.uniform(-math.pi, math.pi))
+                  for _ in range(24)]
+        held = 0
+        for pose in poses:
+            sm = _known_submap(pose=pose, cells=cells, res=res)
+            sm.grid.W[rng.random((cells, cells)) > rng.uniform(0.02, 0.9)] = 0.0
+            geom = merged_bounds([sm])
+            cols, rows = np.meshgrid(np.arange(geom.width), np.arange(geom.height))
+            local = transform_points(inverse(pose),
+                                     geom.cells_to_world(cols.ravel(), rows.ravel()))
+            sgeom = sm.grid.geometry
+            _, _, valid = kernels.bicubic_fw(
+                sm.grid.F, sm.grid.W, sgeom.origin_x, sgeom.origin_y, res,
+                sm.grid.truncation, local)
+
+            cc, cr = submaps._cover(sm, geom)
+            covered = np.zeros((geom.height, geom.width), dtype=int)
+            np.add.at(covered, (cr, cc), 1)
+            assert covered.max() <= 1
+            assert np.all(covered.ravel()[valid] == 1)
+            held += np.count_nonzero(valid)
+        assert held > 2000
+
+        sm.grid.W[:] = 0.0
+        cc, cr = submaps._cover(sm, geom)
+        assert len(cc) == len(cr) == 0
 
 
 @pytest.fixture(scope="module")
