@@ -10,7 +10,7 @@ fixtures are reproducible across platforms and runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -306,6 +306,8 @@ _SENSOR_KEYS = {
     "noise_sigma": ("noise_sigma", float), "outlier_rate": ("outlier_rate", float),
     "outlier_mode": ("outlier_mode", str), "seed": ("seed", int),
 }
+# Accepts any single valid range_min or range_max.
+_OPEN_RANGE = SensorModel(range_min=0.0, range_max=math.inf)
 # Numbers on each repeatable line.
 _LINE_NUMBERS = {"segment": 4, "dynamic": 6, "waypoint": 4}
 
@@ -357,6 +359,8 @@ def parse_scenario(path):
                 elif key in _SENSOR_KEYS:
                     name, parse = _SENSOR_KEYS[key]
                     sensor[name] = parse(value)
+                    # Each key alone; the range pair is checked as a pair below.
+                    replace(_OPEN_RANGE, **{name: sensor[name]})
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except ValueError as exc:
@@ -367,7 +371,11 @@ def parse_scenario(path):
         raise ValueError(f"{path}: scenario has no waypoints")
     world = World(np.asarray(segments, dtype=np.float64), dynamics)
     script = TrajectoryScript(sorted(waypoints, key=lambda w: w[0]))
-    return world, script, SensorModel(**sensor), rate
+    try:
+        model = SensorModel(**sensor)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return world, script, model, rate
 
 
 def straight_wall_sweep(wall_x: float = 8.0, half_span: float = 4.0,

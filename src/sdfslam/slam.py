@@ -5,6 +5,10 @@ initialized by constant-velocity prediction, registered against the older
 unfinished submap, and integrated into the staggered submap window. Matching
 failures (degenerate geometry, over-trimming) fall back to the predicted
 pose and are counted, not fatal.
+
+The younger live submap is integrated in a worker process while this one
+matches and integrates the target (see ``submaps``), so a run uses two
+cores. ``run_slam`` stops the worker before it returns or raises.
 """
 
 from __future__ import annotations
@@ -59,23 +63,23 @@ def run_slam(records, params: SlamParams | None = None) -> SlamResult:
 
     trajectory: list[tuple[float, Pose2]] = []
     failures = 0
-    for record in records:
-        scan = record.scan
-        target = collection.matching_target()
-        if target is None:
-            pose = IDENTITY
-        else:
-            init = predict_pose(trajectory, target_time=record.timestamp)
-            init_local = compose(inverse(target.pose), init)
-            try:
-                result = match_two_stage(target.grid, scan, init_local, params.match)
-                pose = compose(target.pose, result.pose)
-            except (SingularHessian, TooFewPoints):
-                failures += 1
-                pose = init
-        collection.add_scan(scan, pose, policy)
-        trajectory.append((record.timestamp, pose))
-
-    collection.finish_all()
+    with collection:
+        for record in records:
+            scan = record.scan
+            target = collection.matching_target()
+            if target is None:
+                pose = IDENTITY
+            else:
+                init = predict_pose(trajectory, target_time=record.timestamp)
+                init_local = compose(inverse(target.pose), init)
+                try:
+                    result = match_two_stage(target.grid, scan, init_local, params.match)
+                    pose = compose(target.pose, result.pose)
+                except (SingularHessian, TooFewPoints):
+                    failures += 1
+                    pose = init
+            collection.add_scan(scan, pose, policy)
+            trajectory.append((record.timestamp, pose))
+        collection.finish_all()
     return SlamResult(trajectory=trajectory, collection=collection,
                       match_failures=failures)

@@ -2,16 +2,30 @@
 
 During SLAM, scans are inserted into a staggered window of at most two
 unfinished submaps; matching targets the older one so the target is always
-well populated. Finished submaps are later merged into a single grid by
-resampling each submap at the merged cell centers near its known cells
-(bicubic) and fusing with weighted means, taking the maximum weight. Pure
-localization registers scans against the merged grid without ever
-mutating it.
+well populated. The younger one is not read until it becomes the target,
+so its grid lives in a worker process that the collection starts with the
+first such submap. The collection sends each scan there before inserting
+it into the target, so the two inserts run side by side, and takes the
+grid back when the submap becomes the target or is finished. The worker
+runs the same ``Submap.insert``, so the grids are the same bytes either
+way.
+
+Finished submaps are later merged into a single grid by resampling each
+submap at the merged cell centers near its known cells (bicubic) and
+fusing with weighted means, taking the maximum weight. Pure localization
+registers scans against the merged grid without ever mutating it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,15 +44,20 @@ class MixedSettings(ValueError):
     """Submaps disagree on truncation or weight cap and cannot be merged."""
 
 
+class SubmapWorkerError(RuntimeError):
+    """The process that integrates the younger live submap died."""
+
+
 @dataclass(eq=False)
 class Submap:
     """One fixed-size grid anchored in the global frame.
 
     ``pose`` maps submap-frame coordinates to the global frame. Once
-    ``finished`` is set the grid is immutable.
+    ``finished`` is set the grid is immutable. ``grid`` is None while a
+    ``SubmapCollection`` keeps the grid in its worker process.
     """
 
-    grid: SdfGrid
+    grid: SdfGrid | None
     pose: Pose2
     id: int
     scan_count: int = 0
@@ -59,6 +78,43 @@ def _centered_grid(cells: int, resolution: float, truncation: float,
     return SdfGrid.unknown(geom, truncation, w_max)
 
 
+# Run by the worker's interpreter; the path makes the package importable
+# however the parent found it.
+_WORKER_MAIN = ("import sys; sys.path.insert(0, {root!r}); "
+                "from sdfslam.submaps import _serve; _serve()")
+
+
+def _serve():
+    """Worker loop: hold the submaps it is sent, insert into them and hand
+    each grid back on request. Ends when the parent closes the pipe."""
+    # Ctrl-C reaches the whole process group; the parent stops the worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    inbox, outbox = sys.stdin.buffer, sys.stdout.buffer
+    sys.stdout = sys.stderr  # nothing but replies on the reply pipe
+    held: dict[int, Submap] = {}
+    while True:
+        try:
+            op, sid, *args = pickle.load(inbox)
+        except EOFError:
+            return
+        if op == "spawn":
+            anchor, shape = args
+            held[sid] = Submap(grid=_centered_grid(*shape), pose=anchor, id=sid)
+        elif op == "insert":
+            held[sid].insert(*args)
+        else:  # "give"
+            pickle.dump(held.pop(sid).grid, outbox, pickle.HIGHEST_PROTOCOL)
+            outbox.flush()
+
+
+def _stop_worker(proc: subprocess.Popen):
+    proc.kill()
+    # Closes the pipes, dropping a message the worker never read, and reaps
+    # the process.
+    with contextlib.suppress(BrokenPipeError), proc:
+        pass
+
+
 @dataclass(eq=False)
 class SubmapCollection:
     """Staggered two-deep window of submaps under construction.
@@ -68,6 +124,13 @@ class SubmapCollection:
     ``scans_per_submap`` scans; every scan therefore lands in one or two
     submaps and the matching target always carries at least half a budget
     of data.
+
+    The younger of two live submaps is integrated in a worker process,
+    started with the first such submap, and its ``grid`` is None until the
+    collection takes it back: when it becomes the matching target, or in
+    :meth:`finish_all`. ``finish_all`` stops the worker; ``close()``, or
+    using the collection as a context manager, stops it on any other way
+    out.
     """
 
     scans_per_submap: int = 50
@@ -79,6 +142,8 @@ class SubmapCollection:
     truncation: float = 0.06
     w_max: float = 10.0
     submaps: list[Submap] = field(default_factory=list)
+    _worker: subprocess.Popen | None = field(default=None, init=False, repr=False)
+    _stop: weakref.finalize | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # A one-scan submap finishes before it can be a matching target.
@@ -99,29 +164,84 @@ class SubmapCollection:
         return None
 
     def _spawn(self, anchor: Pose2):
-        grid = _centered_grid(self.cells, self.resolution, self.truncation,
-                              self.w_max)
-        self.submaps.append(Submap(grid=grid, pose=anchor, id=len(self.submaps)))
+        sm = Submap(grid=None, pose=anchor, id=len(self.submaps))
+        shape = (self.cells, self.resolution, self.truncation, self.w_max)
+        if self.unfinished():
+            self._send("spawn", sm.id, anchor, shape)
+        else:
+            sm.grid = _centered_grid(*shape)
+        self.submaps.append(sm)
 
     def add_scan(self, scan, world_pose: Pose2, policy: ExpansionPolicy):
         """Insert a matched scan into every unfinished submap and roll the window."""
         if not self.submaps:
             self._spawn(world_pose)
-        for sm in self.unfinished():
-            sm.insert(scan, world_pose, policy)
+        # Younger first, so the worker's insert overlaps the target's.
+        for sm in reversed(self.unfinished()):
+            if sm.grid is None:
+                self._send("insert", sm.id, scan, world_pose, policy)
+                sm.scan_count += 1
+            else:
+                sm.insert(scan, world_pose, policy)
 
         active = self.unfinished()
         if active and active[0].scan_count >= self.scans_per_submap:
             active[0].finished = True
             active = active[1:]
+            if active and active[0].grid is None:
+                self._reclaim(active[0])
         if not active or active[-1].scan_count == math.ceil(self.scans_per_submap / 2):
             self._spawn(world_pose)
 
     def finish_all(self):
-        for sm in self.submaps:
-            sm.finished = True
+        """Finish every submap and stop the worker."""
         # Drop trailing submaps that never received data.
         self.submaps = [s for s in self.submaps if s.scan_count > 0]
+        for sm in self.submaps:
+            if sm.grid is None:
+                self._reclaim(sm)
+            sm.finished = True
+        self.close()
+
+    def close(self):
+        """Stop the worker, if one runs; grids still in it are lost."""
+        if self._worker is not None:
+            self._stop()
+            self._worker = None
+
+    def __enter__(self) -> SubmapCollection:
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _send(self, *message):
+        if self._worker is None:
+            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            # The worker's inserts follow the same warning filters as ours.
+            self._worker = subprocess.Popen(
+                [sys.executable, *(f"-W{w}" for w in sys.warnoptions), "-c",
+                 _WORKER_MAIN.format(root=root)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            # Also stops the worker of a collection dropped without close().
+            self._stop = weakref.finalize(self, _stop_worker, self._worker)
+        try:
+            pickle.dump(message, self._worker.stdin, pickle.HIGHEST_PROTOCOL)
+            self._worker.stdin.flush()
+        except BrokenPipeError:
+            raise self._died() from None
+
+    def _reclaim(self, sm: Submap):
+        """Take ``sm``'s grid back from the worker."""
+        self._send("give", sm.id)
+        try:
+            sm.grid = pickle.load(self._worker.stdout)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._died() from None
+
+    def _died(self) -> SubmapWorkerError:
+        return SubmapWorkerError(
+            f"submap worker exited with code {self._worker.wait()}")
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -46,3 +47,17 @@ def room_map() -> SdfGrid:
 @pytest.fixture(scope="session")
 def room_world() -> World:
     return make_square_world()
+
+
+@pytest.fixture
+def started_processes(monkeypatch):
+    """Every process that ``subprocess.Popen`` starts during the test."""
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started

@@ -292,10 +292,29 @@ class TestRunScenario:
             # divide by zero or overflow the frame count.
             *((["segment = 0 0 1 0", f"rate = {rate}"], 2)
               for rate in ("-5", "0", "nan", "inf")),
+            # A sensor value that is bad on its own names its line.
+            (["segment = 0 0 1 0", "beams = 0"], 2),
+            (["segment = 0 0 1 0", "seed = 1", "outlier_rate = 2"], 3),
+            (["segment = 0 0 1 0", "range_min = -1"], 2),
+            (["segment = 0 0 1 0", "range_max = nan"], 2),
         ):
             bad.write_text("\n".join(lines + ["waypoint = 1 0 0 0"]) + "\n")
             with pytest.raises(ValueError, match=rf"bad\.txt:{line_no}: "):
                 parse_scenario(bad)
+        # A range pair that is bad only together names the file.
+        for pair in (("range_min = 5", "range_max = 5"), ("range_max = 0.02",)):
+            bad.write_text("\n".join(["segment = 0 0 1 0", *pair,
+                                      "waypoint = 1 0 0 0"]) + "\n")
+            with pytest.raises(ValueError, match=r"bad\.txt: range_min"):
+                parse_scenario(bad)
+
+    def test_scenario_file_takes_one_range_key_in_any_order(self, tmp_path):
+        # Either bound may be set first, even past the other's default.
+        cfg = tmp_path / "scene.txt"
+        cfg.write_text("segment = -2 -2 2 -2\nwaypoint = 0 0 0 0\n"
+                       "range_max = 0.04\nrange_min = 0.01\n")
+        _, _, model, _ = parse_scenario(cfg)
+        assert (model.range_min, model.range_max) == (0.01, 0.04)
 
     def test_scenario_file_takes_sensor_defaults(self, tmp_path):
         cfg = tmp_path / "scene.txt"

@@ -4,12 +4,21 @@ The first 120 frames of the 400-frame ``rectangle_circuit`` log (seed 7),
 on 200-cell submaps: the submap size that tracks the lap.
 """
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
+import sdfslam
 from sdfslam.evaluate import evaluate_trajectory
+from sdfslam.geometry import compose, inverse
+from sdfslam.mapping import SdfGrid, integrate_scan
 from sdfslam.simulate import rectangle_circuit, run_scenario
 from sdfslam.slam import SlamParams, run_slam
-from sdfslam.submaps import merge_submaps
+from sdfslam.submaps import SubmapWorkerError, merge_submaps
 
 FRAMES = 120
 PARAMS = SlamParams(submap_cells=200)
@@ -50,3 +59,105 @@ def test_submaps_finished_and_merged(lap):
 def test_repeat_run_identical(lap):
     records, result = lap
     assert run_slam(records, PARAMS).trajectory == result.trajectory
+
+
+class TestWorker:
+    """The younger live submap is integrated in a worker process.
+
+    On the 120-frame lap with 50-scan submaps the worker starts after scan
+    25 with submap 1. It hands a grid back each time the target finishes
+    (after scans 50, 75 and 100), and the last one in ``finish_all``.
+    """
+
+    def test_grids_equal_an_in_process_integration(self, lap):
+        records, result = lap
+        policy = PARAMS.expansion_policy()
+        poses = [p for _, p in result.trajectory]
+        subs = result.collection.submaps
+        assert len(subs) == 5
+        for sm in subs:
+            # Submap k is anchored at the pose of scan 25k - 1 and takes the
+            # scans from 25k on.
+            first = 25 * sm.id
+            assert sm.pose == poses[max(first - 1, 0)]
+            assert sm.scan_count == min(PARAMS.submap_scans, FRAMES - first)
+            grid = SdfGrid.unknown(sm.grid.geometry, sm.grid.truncation, sm.grid.w_max)
+            for k in range(first, first + sm.scan_count):
+                local = compose(inverse(sm.pose), poses[k])
+                integrate_scan(grid, records[k].scan, local, policy, clip=True)
+            assert grid.F.tobytes() == sm.grid.F.tobytes(), sm.id
+            assert grid.W.tobytes() == sm.grid.W.tobytes(), sm.id
+
+    @pytest.mark.parametrize("frames,workers", [(24, 0), (60, 1)])
+    def test_no_worker_outlives_a_run(self, lap, started_processes, frames, workers):
+        # The second live submap is spawned after scan 25; a shorter run
+        # starts no worker.
+        records, _ = lap
+        run_slam(records[:frames], PARAMS)
+        assert len(started_processes) == workers
+        assert all(p.returncode is not None for p in started_processes)
+
+    def test_raising_records_stop_the_worker(self, lap, started_processes):
+        records, _ = lap
+
+        def truncated():
+            for k, record in enumerate(records):
+                if k == 40:
+                    raise OSError("log truncated")
+                yield record
+
+        # Holding the traceback keeps run_slam's collection alive, so only
+        # run_slam itself can have stopped the worker.
+        with pytest.raises(OSError, match="log truncated") as raised:
+            run_slam(truncated(), PARAMS)
+        assert raised.tb is not None
+        assert len(started_processes) == 1
+        assert started_processes[0].returncode is not None
+
+    def test_killed_worker_raises(self, lap, started_processes):
+        records, _ = lap
+
+        def killing():
+            for k, record in enumerate(records):
+                if k == 40:
+                    started_processes[0].kill()
+                yield record
+
+        outcome = []
+        runner = threading.Thread(
+            target=lambda: outcome.append(_raised(run_slam, killing(), PARAMS)),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "run_slam hung on a dead worker"
+        assert isinstance(outcome[0], SubmapWorkerError)
+        assert "submap worker" in str(outcome[0])
+
+    def test_script_without_main_guard(self, lap, tmp_path):
+        # The worker must find the package on its own when the caller put
+        # it on sys.path at run time, and must not re-run the caller.
+        src = Path(sdfslam.__file__).resolve().parent.parent
+        script = tmp_path / "lap.py"
+        script.write_text(
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from sdfslam.simulate import rectangle_circuit, run_scenario\n"
+            "from sdfslam.slam import SlamParams, run_slam\n"
+            "records = run_scenario(*rectangle_circuit(seed=7))[:60]\n"
+            "for _, pose in run_slam(records, SlamParams(submap_cells=200)).trajectory:\n"
+            "    print(repr(pose))\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # Poses depend only on earlier frames, so the lap's first 60 match.
+        _, result = lap
+        assert proc.stdout.splitlines() == [repr(p) for _, p in result.trajectory[:60]]
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return exc
+    return None

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -107,6 +108,31 @@ class TestLifecycle:
         sm = _known_submap(finished=True)
         with pytest.raises(ValueError):
             sm.insert(self._scan(), Pose2(0, 0, 0), ExpansionPolicy(3))
+
+    def test_younger_submap_lives_in_the_worker(self, started_processes):
+        policy = ExpansionPolicy(3)
+        with SubmapCollection(scans_per_submap=4, cells=100) as coll:
+            for k in range(2):
+                coll.add_scan(self._scan(k), Pose2(0, 0, 0), policy)
+            young = coll.submaps[1]
+            assert young.scan_count == 0 and young.grid is None
+            assert len(started_processes) == 1
+            for k in range(2, 4):
+                coll.add_scan(self._scan(k), Pose2(0, 0, 0), policy)
+            # The target finished; its successor is back in this process.
+            assert coll.submaps[0].finished
+            assert coll.matching_target() is young
+            assert young.scan_count == 2 and young.grid.W.max() > 0
+            assert coll.submaps[2].grid is None
+        assert started_processes[0].returncode is not None
+
+    def test_dropped_collection_stops_its_worker(self, started_processes):
+        coll = SubmapCollection(scans_per_submap=4, cells=60)
+        for k in range(3):
+            coll.add_scan(self._scan(k), Pose2(0, 0, 0), ExpansionPolicy(3))
+        del coll
+        gc.collect()
+        assert started_processes[0].returncode is not None
 
     def test_finish_all_drops_empty(self):
         coll = SubmapCollection(scans_per_submap=4, cells=60)
