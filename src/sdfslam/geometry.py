@@ -83,13 +83,9 @@ class LaserScan:
     ranges: np.ndarray
     range_min: float
     range_max: float
-    timestamp: float = 0.0
 
     def __post_init__(self):
         self.ranges = np.asarray(self.ranges, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.ranges)
 
     def beam_angles(self) -> np.ndarray:
         return self.angle_min + self.angle_increment * np.arange(len(self.ranges))
@@ -116,8 +112,9 @@ class GridGeometry:
 
     ``origin`` is the world coordinate of the *center* of cell (0, 0); cell
     indices are (col, row) counted from the grid's minimum corner. With
-    center-anchored cells, ``world_to_cell`` of a cell center returns that
-    cell exactly.
+    center-anchored cells, :meth:`world_to_cells` of a cell center returns
+    that cell exactly. Both conversions take whole arrays; a single point is
+    a one-row array.
     """
 
     origin_x: float
@@ -132,28 +129,15 @@ class GridGeometry:
         if self.width < 1 or self.height < 1:
             raise ValueError("grid must have at least one cell")
 
-    def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
-        col = math.floor((x - self.origin_x) / self.resolution + 0.5)
-        row = math.floor((y - self.origin_y) / self.resolution + 0.5)
-        return (col, row)
-
-    def cell_to_world(self, col: int, row: int) -> tuple[float, float]:
-        return (
-            self.origin_x + col * self.resolution,
-            self.origin_y + row * self.resolution,
-        )
-
-    def contains(self, col: int, row: int) -> bool:
-        return 0 <= col < self.width and 0 <= row < self.height
-
     def world_to_cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized world_to_cell: (n, 2) points -> (cols, rows) int arrays."""
+        """The cell of each point: (n, 2) points -> (cols, rows) int arrays."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
         cols = np.floor((pts[:, 0] - self.origin_x) / self.resolution + 0.5)
         rows = np.floor((pts[:, 1] - self.origin_y) / self.resolution + 0.5)
         return cols.astype(np.int64), rows.astype(np.int64)
 
     def cells_to_world(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The center of each cell: (cols, rows) -> (n, 2) points."""
         out = np.empty((len(cols), 2), dtype=np.float64)
         out[:, 0] = self.origin_x + np.asarray(cols) * self.resolution
         out[:, 1] = self.origin_y + np.asarray(rows) * self.resolution

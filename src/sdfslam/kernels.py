@@ -4,6 +4,13 @@ Grid arrays are row-major float32 with shape (height, width), indexed
 [row, col]. Cell (0, 0) is centered at (ox, oy) and cell (col, row) at
 (ox + col * res, oy + row * res). A point is *interior* when its continuous
 cell coordinates lie in [0, width-1] x [0, height-1].
+
+The package calls :func:`bilinear` (the matcher, through
+``matching._sample``) and :func:`bicubic_fw` (the merge), which falls back
+to :func:`bilinear_fw`. :func:`bilinear_wf`, :func:`traverse_free` and
+``BACKEND`` have no caller in the package; they stay only while the
+benchmark's tracer names them (ROADMAP item D), and the tests use
+``traverse_free`` as the reference for ``mapping.traverse_beams``.
 """
 
 from __future__ import annotations
@@ -12,14 +19,6 @@ import numpy as np
 
 # Printed by the benchmark beside every result; nothing in the package reads it.
 BACKEND = "python"
-
-
-def _gather_nodes(arr, i0, j0):
-    a00 = arr[j0, i0]
-    a10 = arr[j0, i0 + 1]
-    a01 = arr[j0 + 1, i0]
-    a11 = arr[j0 + 1, i0 + 1]
-    return a00, a10, a01, a11
 
 
 # No caller in the package: the benchmark traces it and the tests check it.
@@ -54,8 +53,9 @@ def bilinear_wf(F, W, ox, oy, res, trunc, wmax, pts):
     tu = ui - i0
     tv = vi - j0
 
-    f00, f10, f01, f11 = _gather_nodes(F, i0, j0)
-    w00, w10, w01, w11 = _gather_nodes(W, i0, j0)
+    nodes = (j0 * w + i0) + np.array([[0], [1], [w], [w + 1]])
+    f00, f10, f01, f11 = F.ravel().take(nodes)
+    w00, w10, w01, w11 = W.ravel().take(nodes)
 
     def node(fv, wv):
         wv = wv.astype(np.float64)
@@ -72,6 +72,42 @@ def bilinear_wf(F, W, ox, oy, res, trunc, wmax, pts):
     return val, gx, gy
 
 
+def bilinear(F, W, ox, oy, res, pts):
+    """Bilinear F, its gradient and W at every point, for the caller to mask.
+
+    Returns ``(f, gx, gy, w, inside, wn)``: float64 values, the interior
+    mask, and the float32 W of each point's four nodes, one row per corner
+    (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1). A point outside the
+    interior, a non-finite one too, reads a border cell and may give NaN or
+    inf. :func:`bilinear_fw` and ``matching._sample`` mask this result.
+    """
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    h, w = F.shape
+
+    u = (pts[:, 0] - ox) / res
+    v = (pts[:, 1] - oy) / res
+    inside = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    # fmin and fmax send NaN to the bound, so every index lies in the grid;
+    # for an interior point this is min(int(u), w - 2).
+    i0 = np.fmin(np.fmax(u, 0.0), w - 2.0).astype(np.int64)
+    j0 = np.fmin(np.fmax(v, 0.0), h - 2.0).astype(np.int64)
+    nodes = (j0 * w + i0) + np.array([[0], [1], [w], [w + 1]])
+    f00, f10, f01, f11 = F.ravel().take(nodes).astype(np.float64)
+    wn = W.ravel().take(nodes)
+    w00, w10, w01, w11 = wn
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        tu = u - i0
+        tv = v - j0
+        su = 1.0 - tu
+        sv = 1.0 - tv
+        f = sv * (su * f00 + tu * f10) + tv * (su * f01 + tu * f11)
+        gx = (sv * (f10 - f00) + tv * (f11 - f01)) / res
+        gy = (su * (f01 - f00) + tu * (f11 - f10)) / res
+        wv = sv * (su * w00 + tu * w10) + tv * (su * w01 + tu * w11)
+    return f, gx, gy, wv, inside, wn
+
+
 def bilinear_fw(F, W, ox, oy, res, trunc, pts):
     """Sample the plain distance field F and the weight field W bilinearly.
 
@@ -80,27 +116,8 @@ def bilinear_fw(F, W, ox, oy, res, trunc, pts):
 
     Returns (f_values, w_values) float64 arrays.
     """
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    h, w = F.shape
-
-    u = (pts[:, 0] - ox) / res
-    v = (pts[:, 1] - oy) / res
-    inside = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    # fmin and fmax send NaN to the bound, so every index lies in the grid.
-    i0 = np.fmin(np.fmax(u, 0.0), w - 2.0).astype(np.int64)
-    j0 = np.fmin(np.fmax(v, 0.0), h - 2.0).astype(np.int64)
-
-    def lerp(arr):
-        a00, a10, a01, a11 = (x.astype(np.float64) for x in _gather_nodes(arr, i0, j0))
-        return (1.0 - tv) * ((1.0 - tu) * a00 + tu * a10) + tv * (
-            (1.0 - tu) * a01 + tu * a11
-        )
-
-    # A point outside the interior may give NaN or inf before the mask.
-    with np.errstate(invalid="ignore", over="ignore"):
-        tu = u - i0
-        tv = v - j0
-        return np.where(inside, lerp(F), trunc), np.where(inside, lerp(W), 0.0)
+    f, _, _, wv, inside, _ = bilinear(F, W, ox, oy, res, pts)
+    return np.where(inside, f, trunc), np.where(inside, wv, 0.0)
 
 
 # No caller in the package: the benchmark traces it and the tests use it as

@@ -13,7 +13,6 @@ a save is bit-exact.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -118,7 +117,7 @@ def _parse_record(tokens: list[str], line_no: int) -> ScanLogRecord:
             odom = pose
         rest = rest[4:]
 
-    scan = LaserScan(angle_min, inc, ranges, rmin, rmax, timestamp=ts)
+    scan = LaserScan(angle_min, inc, ranges, rmin, rmax)
     return ScanLogRecord(timestamp=ts, scan=scan, gt=gt, odom=odom)
 
 

@@ -39,10 +39,6 @@ GAMMA_CLAMP = math.radians(80.0)
 DEGENERATE_EPS = 1e-9
 
 
-class OutOfBounds(ValueError):
-    """A hit point fell outside a fixed-size grid."""
-
-
 @dataclass(frozen=True)
 class ExpansionPolicy:
     """How many neighbor rings may be searched when a cell is sparse."""
@@ -110,8 +106,6 @@ class UpdateStats:
 
 def chebyshev_ring(d: int) -> list[tuple[int, int]]:
     """Cell offsets at Chebyshev distance exactly ``d`` (8 for d=1, 16 for d=2, ...)."""
-    if d == 0:
-        return [(0, 0)]
     ring = []
     for dj in range(-d, d + 1):
         for di in range(-d, d + 1):
@@ -120,16 +114,15 @@ def chebyshev_ring(d: int) -> list[tuple[int, int]]:
     return ring
 
 
-def integrate_scan(grid: SdfGrid, scan, pose: Pose2, policy: ExpansionPolicy,
-                   clip: bool = False) -> UpdateStats:
+def integrate_scan(grid: SdfGrid, scan, pose: Pose2,
+                   policy: ExpansionPolicy) -> UpdateStats:
     """Fuse one frame into the grid; mutates ``grid`` and returns counts.
 
-    ``pose`` must be expressed in the grid frame. Hit points outside the
-    grid raise :class:`OutOfBounds` unless ``clip`` is set, in which case
-    they are dropped from the buckets and the line fits. Their beams still
-    carve when a fitted cell lies within one ring of the hit cell, as every
-    beam does (see :func:`_beam_lines`). Requires exclusive access to the
-    grid.
+    ``pose`` must be expressed in the grid frame. The grid never grows: hit
+    points outside it are dropped from the buckets and the line fits. Their
+    beams still carve when a fitted cell lies within one ring of the hit
+    cell, as every beam does (see :func:`_beam_lines`). Requires exclusive
+    access to the grid.
 
     The result equals the reference bit for bit; each pass below evaluates
     the same expressions, in the same summation order, over whole arrays.
@@ -144,8 +137,6 @@ def integrate_scan(grid: SdfGrid, scan, pose: Pose2, policy: ExpansionPolicy,
     pts_world = transform_points(pose, pts_sensor)
     cols, rows = geom.world_to_cells(pts_world)
     inb = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
-    if not clip and not inb.all():
-        raise OutOfBounds("hit point outside grid (grid growth is not supported)")
     if not inb.any():
         return stats  # no fitted cell, so no beam has a line to carve with
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .geometry import Pose2, normalize_angle, scan_to_points, transform_points
 from .mapping import SdfGrid
+from . import kernels
 
 _EIG_RATIO_MIN = 1e-10
 _DAMPING = 1e-6
@@ -71,10 +72,8 @@ class MatchConfig:
                 raise ValueError(f"{name} must be positive")
 
     @classmethod
-    def for_grid(cls, grid: SdfGrid, cfg: MatchConfig | None = None) -> MatchConfig:
-        """``cfg`` (default: all defaults) with its unset distances taken from ``grid``."""
-        if cfg is None:
-            cfg = cls()
+    def for_grid(cls, grid: SdfGrid, cfg: MatchConfig) -> MatchConfig:
+        """``cfg`` with its unset distances taken from ``grid``."""
         return replace(
             cfg,
             trim_threshold=(grid.truncation if cfg.trim_threshold is None
@@ -106,6 +105,7 @@ class MatchResult:
 def _sample(grid: SdfGrid, world: np.ndarray):
     """Bilinear F, its gradient and the confidence W / w_max at each point.
 
+    A mask over ``kernels.bilinear``, as the merge's ``bilinear_fw`` is.
     Returns ``(f, gx, gy, conf, known)``. ``known`` marks the points inside
     the interior whose four surrounding nodes all have W > 0; the other
     points, off-grid and non-finite ones among them, get zeros everywhere,
@@ -116,34 +116,12 @@ def _sample(grid: SdfGrid, world: np.ndarray):
     ``kernels.bicubic_fw``, which needs only a value.
     """
     geom = grid.geometry
-    h, w = grid.F.shape
-
-    u = (world[:, 0] - geom.origin_x) / geom.resolution
-    v = (world[:, 1] - geom.origin_y) / geom.resolution
-    inside = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    # fmin and fmax send NaN to the bound, so every index lies in the grid;
-    # for an interior point this is min(int(u), w - 2).
-    i0 = np.fmin(np.fmax(u, 0.0), w - 2.0).astype(np.int64)
-    j0 = np.fmin(np.fmax(v, 0.0), h - 2.0).astype(np.int64)
-    # One row per corner, (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1).
-    nodes = (j0 * w + i0) + np.array([[0], [1], [w], [w + 1]])
-    wn = grid.W.ravel().take(nodes)
+    f, gx, gy, w, inside, wn = kernels.bilinear(
+        grid.F, grid.W, geom.origin_x, geom.origin_y, geom.resolution, world)
     known = inside & np.all(wn > 0.0, axis=0)
-    f00, f10, f01, f11 = grid.F.ravel().take(nodes).astype(np.float64)
-    w00, w10, w01, w11 = wn
-
-    # An unsupported point may hold NaN or inf here, until the mask zeroes it.
-    with np.errstate(invalid="ignore", over="ignore"):
-        tu = u - i0
-        tv = v - j0
-        su = 1.0 - tu
-        sv = 1.0 - tv
-        f = sv * (su * f00 + tu * f10) + tv * (su * f01 + tu * f11)
-        gx = (sv * (f10 - f00) + tv * (f11 - f01)) / geom.resolution
-        gy = (su * (f01 - f00) + tu * (f11 - f10)) / geom.resolution
-        conf = (sv * (su * w00 + tu * w10) + tv * (su * w01 + tu * w11)) / grid.w_max
-    f, gx, gy, conf = np.where(known, [f, gx, gy, conf], 0.0)
-    return f, gx, gy, conf, known
+    # An unsupported point may hold NaN or inf until the mask zeroes it.
+    f, gx, gy, w = np.where(known, [f, gx, gy, w], 0.0)
+    return f, gx, gy, w / grid.w_max, known
 
 
 def _robust_cost(sample, delta: float):
@@ -181,25 +159,22 @@ def _normal_equations(pts: np.ndarray, pose: Pose2, sample, a, inlier, delta: fl
     return J.T @ Jw, Jw.T @ f
 
 
-def gauss_newton(grid: SdfGrid, scan_points, init: Pose2,
-                 max_iters: int = MatchConfig.max_iters_stage1,
-                 convergence_eps: float = MatchConfig.convergence_eps,
-                 huber_delta: float | None = None, *,
+def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int,
+                 convergence_eps: float, huber_delta: float, *,
                  first=None) -> MatchResult:
     """Minimize the robust SDF cost from ``init``.
 
     Stops at the iteration cap or when the relative cost change between two
     consecutive iterations falls below ``convergence_eps``. The best iterate
     is tracked, so the returned pose never costs more than ``init``, and the
-    result carries its sample. A ``huber_delta`` of None takes the grid's,
-    from :meth:`MatchConfig.for_grid`. ``first``, when given, is the sample
-    of ``scan_points`` at ``init``, which then is not sampled again.
+    result carries its sample. Every setting comes from the caller;
+    :func:`match_two_stage` takes the ones a grid implies from
+    :meth:`MatchConfig.for_grid`. ``first``, when given, is the sample of
+    ``scan_points`` at ``init``, which then is not sampled again.
     """
     pts = np.asarray(scan_points, dtype=np.float64).reshape(-1, 2)
     if len(pts) == 0:
         raise SingularHessian("no points to match")
-    if huber_delta is None:
-        huber_delta = MatchConfig.for_grid(grid).huber_delta
 
     pose = init
     sample = _sample(grid, transform_points(pose, pts)) if first is None else first
@@ -302,12 +277,11 @@ def match_two_stage(grid: SdfGrid, scan, init: Pose2,
     )
 
 
-def predict_pose(history, target_time: float | None = None) -> Pose2:
+def predict_pose(history, target_time: float) -> Pose2:
     """Constant-velocity extrapolation from recent (timestamp, pose) pairs.
 
     With one prior pose, returns it unchanged. With two or more, linear and
-    angular velocities come from the last two entries; the default target
-    time extends the last interval once more.
+    angular velocities come from the last two entries.
     """
     if len(history) == 0:
         raise ValueError("need at least one prior pose")
@@ -317,8 +291,6 @@ def predict_pose(history, target_time: float | None = None) -> Pose2:
     dt = t2 - t1
     if dt <= 0.0:
         return p2
-    if target_time is None:
-        target_time = t2 + dt
     tau = (target_time - t2) / dt
     return Pose2(
         p2.x + tau * (p2.x - p1.x),

@@ -25,6 +25,15 @@ DISCONTINUITY_BOOST = 5.0
 SCAN_RATE = 10.0
 
 
+def _check_segments(segs) -> np.ndarray:
+    """``segs`` as an (n, 4) float array; raises on a zero-length or NaN segment."""
+    segs = np.asarray(segs, dtype=np.float64).reshape(-1, 4)
+    lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
+    if not np.all(lengths > 1e-9):  # NaN fails too
+        raise ValueError("degenerate world segment")
+    return segs
+
+
 @dataclass(frozen=True)
 class DynamicSegment:
     """A wall segment visible only for scan indices in [first, last]."""
@@ -32,6 +41,11 @@ class DynamicSegment:
     segment: tuple[float, float, float, float]
     first: int
     last: int
+
+    def __post_init__(self):
+        _check_segments(self.segment)
+        if self.first > self.last:
+            raise ValueError("dynamic segment's first scan is after its last")
 
 
 @dataclass(eq=False)
@@ -42,11 +56,7 @@ class World:
     dynamic_segments: list[DynamicSegment] = field(default_factory=list)
 
     def __post_init__(self):
-        segs = np.asarray(self.static_segments, dtype=np.float64).reshape(-1, 4)
-        lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
-        if np.any(lengths <= 1e-9):
-            raise ValueError("degenerate world segment")
-        self.static_segments = segs
+        self.static_segments = _check_segments(self.static_segments)
 
     def segments_for(self, scan_index: int | None = None) -> np.ndarray:
         """Active segments for a scan index (static only when None)."""
@@ -137,22 +147,11 @@ class TrajectoryScript:
         return wps[-1][1]
 
 
-def raycast(world: World, origin, direction, range_max: float,
-            scan_index: int | None = None):
-    """Distance to the nearest segment hit along a ray, or None for a miss.
-
-    ``direction`` must be a unit vector. Segments parallel to the ray and
-    intersections beyond ``range_max`` do not count.
-    """
-    segs = world.segments_for(scan_index)
-    t = _raycast_batch(segs, np.asarray(origin, dtype=np.float64),
-                       np.asarray([direction], dtype=np.float64), range_max)
-    return float(t[0]) if np.isfinite(t[0]) else None
-
-
 def _raycast_batch(segs: np.ndarray, origin: np.ndarray, dirs: np.ndarray,
                    range_max: float) -> np.ndarray:
-    """Nearest-hit distances for many rays at once; inf marks a miss."""
+    """Nearest-hit distances along unit directions ``dirs``; inf marks a miss.
+
+    Segments parallel to a ray and hits beyond ``range_max`` do not count."""
     ax = segs[:, 0][None, :] - origin[0]
     ay = segs[:, 1][None, :] - origin[1]
     ex = (segs[:, 2] - segs[:, 0])[None, :]
@@ -239,7 +238,6 @@ def run_scenario(world: World, script: TrajectoryScript, model: SensorModel,
         t = script.t_start + i / rate
         pose = script.pose_at(t)
         scan, _ = simulate_scan(world, pose, model, scan_index=i)
-        scan.timestamp = t
         records.append(ScanLogRecord(timestamp=t, scan=scan, gt=pose, odom=None))
     return records
 
@@ -273,6 +271,9 @@ def rectangle_circuit(noise_sigma: float = 0.005, outlier_rate: float = 0.0,
 
     Returns (world, script, model, rate).
     """
+    # One frame gives a zero-length lap, whose waypoints all share t = 0.
+    if scans < 2:
+        raise ValueError("scans must be at least 2")
     segments = rectangle_room(10.0, 8.0)
     segments += box_obstacle(0.0, 1.5, 1.0)
     segments += box_obstacle(0.0, -1.5, 1.0)
@@ -346,6 +347,7 @@ def parse_scenario(path):
                     raise ValueError(f"{key} takes {want} numbers, got {len(fields)}")
                 if key == "segment":
                     segments.append(tuple(float(v) for v in fields))
+                    _check_segments(segments[-1])
                 elif key == "dynamic":
                     seg = tuple(float(v) for v in fields[:4])
                     dynamics.append(DynamicSegment(seg, int(fields[4]), int(fields[5])))
@@ -370,8 +372,8 @@ def parse_scenario(path):
     if not waypoints:
         raise ValueError(f"{path}: scenario has no waypoints")
     world = World(np.asarray(segments, dtype=np.float64), dynamics)
-    script = TrajectoryScript(sorted(waypoints, key=lambda w: w[0]))
     try:
+        script = TrajectoryScript(sorted(waypoints, key=lambda w: w[0]))
         model = SensorModel(**sensor)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -67,7 +67,7 @@ class Submap:
         if self.finished:
             raise ValueError("cannot insert into a finished submap")
         local = compose(inverse(self.pose), world_pose)
-        integrate_scan(self.grid, scan, local, policy, clip=True)
+        integrate_scan(self.grid, scan, local, policy)
         self.scan_count += 1
 
 
@@ -149,6 +149,9 @@ class SubmapCollection:
         # A one-scan submap finishes before it can be a matching target.
         if self.scans_per_submap < 2:
             raise ValueError("scans_per_submap must be at least 2")
+        # Bilinear sampling reads a 2x2 block of nodes.
+        if self.cells < 2:
+            raise ValueError("cells must be at least 2")
         for name in ("truncation", "w_max"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")

@@ -35,7 +35,7 @@ def build_room_map(noise_sigma: float = 0.0, poses=None, seed: int = 3,
     policy = ExpansionPolicy.for_resolution(grid.geometry.resolution)
     for i, pose in enumerate(poses):
         scan, _ = simulate_scan(world, pose, model, scan_index=i)
-        integrate_scan(grid, scan, pose, policy, clip=True)
+        integrate_scan(grid, scan, pose, policy)
     return grid
 
 

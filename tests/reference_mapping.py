@@ -140,7 +140,7 @@ def surface_update_entries(cell, line: RegressionLine, e: int, grid: SdfGrid,
     geom = grid.geometry
     res = geom.resolution
     trunc = grid.truncation
-    ccx, ccy = geom.cell_to_world(*cell)
+    ccx, ccy = geom.origin_x + cell[0] * res, geom.origin_y + cell[1] * res
     xmin, ymin, xmax, ymax = update_range((ccx, ccy), e, res)
     reach = int(math.ceil(trunc / res))
     limit = trunc * (1.0 + 1e-12)
@@ -152,9 +152,9 @@ def surface_update_entries(cell, line: RegressionLine, e: int, grid: SdfGrid,
             if dist > limit:
                 continue
             target = (cell[0] + di, cell[1] + dj)
-            if not geom.contains(*target):
+            if not (0 <= target[0] < geom.width and 0 <= target[1] < geom.height):
                 continue
-            tx, ty = geom.cell_to_world(*target)
+            tx, ty = geom.origin_x + target[0] * res, geom.origin_y + target[1] * res
             sd = line.signed_distance((tx, ty))
             px = tx - sd * line.normal[0]
             py = ty - sd * line.normal[1]
@@ -269,9 +269,9 @@ class ByOps(NamedTuple):
 def integrate_by_ops(grid: SdfGrid, scan, pose: Pose2, policy: ExpansionPolicy) -> ByOps:
     """Fuse one frame into the grid by the literal per-cell pipeline.
 
-    Hits outside the grid are dropped, as ``integrate_scan`` does with
-    ``clip=True``. The stats count the resolved surface and free-space
-    entries, and the cells given up by the point search or the fit.
+    Hits outside the grid are dropped, as ``integrate_scan`` does. The
+    stats count the resolved surface and free-space entries, and the cells
+    given up by the point search or the fit.
     """
     geom = grid.geometry
     pts = scan_to_points(scan)
@@ -307,7 +307,7 @@ def integrate_by_ops(grid: SdfGrid, scan, pose: Pose2, policy: ExpansionPolicy) 
     extents = [None] * len(scan.ranges)
     beam_lines = []
     for k in range(len(pts)):
-        cell = geom.world_to_cell(world_pts[k, 0], world_pts[k, 1])
+        cell = (int(cols[k]), int(rows[k]))
         line = _neighbor_line(lines, cell)
         beam_lines.append(line)
         if line is None:

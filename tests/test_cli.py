@@ -7,12 +7,17 @@ with default flags: the first 120 frames of the 400-frame
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sdfslam import cli
 
 FRAMES = 120
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
@@ -125,6 +130,15 @@ class TestPipeline:
         assert "scans_per_submap must be at least 2" in text
         assert not (tmp_path / "slam").exists()
 
+    def test_slam_rejects_one_cell_submaps(self, pipeline, tmp_path):
+        # Bilinear sampling needs two nodes per axis.
+        d, _ = pipeline
+        code, text = run("slam", "--log", d / "log.txt", "--out-dir", tmp_path / "slam",
+                         "--submap-cells", 1)
+        assert code == 1
+        assert "cells must be at least 2" in text
+        assert not (tmp_path / "slam").exists()
+
     def test_export_writes_image(self, pipeline):
         d, steps = pipeline
         assert (d / "map.pgm").read_bytes().startswith(b"P5\n")
@@ -154,6 +168,14 @@ class TestUsage:
         assert "noise_sigma must be non-negative" in text
         assert not (tmp_path / "scans.log").exists()
 
+    @pytest.mark.parametrize("scans", [1, 0, -3])
+    def test_too_few_scans_stop_with_a_diagnostic(self, tmp_path, scans):
+        code, text = run("simulate", "--scenario", "rectangle-circuit",
+                         "--out", tmp_path / "scans.log", "--scans", scans)
+        assert code == 1
+        assert "scans must be at least 2" in text
+        assert not (tmp_path / "scans.log").exists()
+
     def test_scans_rejected_for_scenario_file(self, tmp_path):
         # A scenario file sets its own frame count from its waypoints.
         code, text = run("simulate", "--scenario", tmp_path / "room.txt",
@@ -161,3 +183,25 @@ class TestUsage:
         assert code == 2
         assert "--scans" in text
         assert not (tmp_path / "scans.log").exists()
+
+
+class TestModuleEntry:
+    def test_python_m_runs_simulate_and_slam(self, tmp_path):
+        # ``python -m sdfslam`` as a process of its own, from another
+        # directory. A submap worker starts at scan 25, so slam runs it too.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def sdfslam(*argv):
+            return subprocess.run(
+                [sys.executable, *(f"-W{w}" for w in sys.warnoptions), "-m", "sdfslam",
+                 *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=120)
+
+        simulate = sdfslam("simulate", "--scenario", "rectangle-circuit", "--scans", "30",
+                           "--out", "scans.log")
+        assert simulate.returncode == 0, simulate.stderr
+        slam = sdfslam("slam", "--log", "scans.log", "--out-dir", "slam")
+        assert slam.returncode == 0, slam.stderr
+        assert "slam: 30 scans" in slam.stdout
+        assert (tmp_path / "slam" / "map.sdf2").is_file()

@@ -126,9 +126,10 @@ class TestLaserScan:
 class TestGridGeometry:
     def test_roundtrip_cell_centers(self):
         geom = GridGeometry(-1.3, 0.7, 0.05, 40, 30)
-        for col in range(0, 40, 7):
-            for row in range(0, 30, 5):
-                assert geom.world_to_cell(*geom.cell_to_world(col, row)) == (col, row)
+        cols, rows = (a.ravel() for a in np.meshgrid(np.arange(0, 40, 7),
+                                                     np.arange(0, 30, 5)))
+        back = geom.world_to_cells(geom.cells_to_world(cols, rows))
+        assert np.array_equal(back[0], cols) and np.array_equal(back[1], rows)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -140,13 +141,16 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             GridGeometry(0, 0, math.nan, 5, 5)
 
-    def test_vectorized_matches_scalar(self):
+    def test_points_land_in_nearest_cell(self):
+        # Cells are center-anchored: a point lies within half a cell of its
+        # cell's center on each axis, on and off the grid alike.
         geom = GridGeometry(0.2, -0.4, 0.1, 25, 25)
         rng = np.random.default_rng(6)
         pts = rng.uniform(-1, 3, (100, 2))
         cols, rows = geom.world_to_cells(pts)
-        for (x, y), c, r in zip(pts, cols, rows):
-            assert geom.world_to_cell(x, y) == (c, r)
+        assert cols.dtype == rows.dtype == np.int64
+        offset = np.abs(pts - geom.cells_to_world(cols, rows))
+        assert np.all(offset <= 0.5 * geom.resolution + 1e-12)
 
     def test_corners_cover_cell_area(self):
         geom = GridGeometry(0.0, 0.0, 0.5, 4, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from sdfslam import kernels
 from sdfslam.geometry import GridGeometry, Pose2, scan_to_points, transform_points
-from sdfslam.mapping import (ExpansionPolicy, OutOfBounds, SdfGrid, chebyshev_ring,
+from sdfslam.mapping import (ExpansionPolicy, SdfGrid, UpdateStats, chebyshev_ring,
                              integrate_scan, traverse_beams)
 from sdfslam.simulate import (
     SensorModel,
@@ -148,10 +148,14 @@ class TestUpdateRange:
 class TestSurfaceEntries:
     def setup_method(self):
         self.grid = make_grid(half=0.5, res=0.05, trunc=0.06)
+        # The cell at the origin and its center.
+        cols, rows = self.grid.geometry.world_to_cells([(0.0, 0.0)])
+        self.cell = (int(cols[0]), int(rows[0]))
+        self.center = tuple(self.grid.geometry.cells_to_world(cols, rows)[0])
 
     def test_center_on_line_zero(self):
-        cell = self.grid.geometry.world_to_cell(0.0, 0.0)
-        cx, cy = self.grid.geometry.cell_to_world(*cell)
+        cell = self.cell
+        cx, cy = self.center
         line = RegressionLine((cx, cy), (0.0, 1.0))
         entries = surface_update_entries(cell, line, 0, self.grid, (cx, 5.0))
         own = [en for en in entries if en.cell == cell]
@@ -159,8 +163,8 @@ class TestSurfaceEntries:
         assert own[0].priority == 0.0
 
     def test_sensor_side_positive(self):
-        cell = self.grid.geometry.world_to_cell(0.0, 0.0)
-        cx, cy = self.grid.geometry.cell_to_world(*cell)
+        cell = self.cell
+        cx, cy = self.center
         # Wall 2cm below the candidate center; sensor above.
         line = RegressionLine((cx, cy - 0.02), (0.0, 1.0))
         entries = surface_update_entries(cell, line, 0, self.grid, (cx, 5.0))
@@ -170,26 +174,25 @@ class TestSurfaceEntries:
     def test_behind_clamped(self):
         # Wall 4cm above the causing cell center; the candidate one row
         # below sits 9cm behind the surface and clamps to -truncation.
-        cell = self.grid.geometry.world_to_cell(0.0, 0.0)
-        cx, cy = self.grid.geometry.cell_to_world(*cell)
+        cell = self.cell
+        cx, cy = self.center
         line = RegressionLine((cx, cy + 0.04), (0.0, 1.0))
         entries = surface_update_entries(cell, line, 0, self.grid, (cx, 5.0))
         below = [en for en in entries if en.cell == (cell[0], cell[1] - 1)][0]
         assert below.f == pytest.approx(-0.06)
 
     def test_candidates_limited_by_truncation_circle(self):
-        cell = self.grid.geometry.world_to_cell(0.0, 0.0)
-        cx, cy = self.grid.geometry.cell_to_world(*cell)
+        cell = self.cell
+        cx, cy = self.center
         line = RegressionLine((cx, cy), (0.0, 1.0))
         # A long update box cannot defeat the truncation-radius circle.
         entries = surface_update_entries(cell, line, 6, self.grid, (cx, 5.0))
-        for en in entries:
-            tx, ty = self.grid.geometry.cell_to_world(*en.cell)
-            assert math.hypot(tx - cx, ty - cy) <= 0.06 + 1e-9
+        targets = self.grid.geometry.cells_to_world(*np.array([en.cell for en in entries]).T)
+        assert np.all(np.hypot(targets[:, 0] - cx, targets[:, 1] - cy) <= 0.06 + 1e-9)
 
     def test_projection_box_filters(self):
-        cell = self.grid.geometry.world_to_cell(0.0, 0.0)
-        cx, cy = self.grid.geometry.cell_to_world(*cell)
+        cell = self.cell
+        cx, cy = self.center
         line = RegressionLine((cx, cy), (0.0, 1.0))
         entries = surface_update_entries(cell, line, 0, self.grid, (cx, 5.0))
         # e=0 box has half-width one cell: columns beyond +-1 are excluded
@@ -401,12 +404,16 @@ class TestIntegrateScan:
         assert np.array_equal(grid.W, before[1])
         assert stats.cells_updated == 0
 
-    def test_out_of_bounds_raises_without_clip(self):
+    def test_off_grid_hit_is_dropped(self):
+        # The grid never grows; a hit past its border fits no line, so its
+        # beam has nothing to carve with either.
         grid = make_grid(half=0.5)
-        scan = _single_beam_scan(3.0)
-        with pytest.raises(OutOfBounds):
-            integrate_scan(grid, scan, Pose2(0, 0, 0), ExpansionPolicy(3))
-        integrate_scan(grid, scan, Pose2(0, 0, 0), ExpansionPolicy(3), clip=True)
+        before = (grid.F.copy(), grid.W.copy())
+        stats = integrate_scan(grid, _single_beam_scan(3.0), Pose2(0, 0, 0),
+                               ExpansionPolicy(3))
+        assert stats == UpdateStats()
+        assert np.array_equal(grid.F, before[0])
+        assert np.array_equal(grid.W, before[1])
 
     def test_invariants_after_many_scans(self, room_map):
         assert np.all(np.abs(room_map.F) <= room_map.truncation + 1e-6)
@@ -418,7 +425,7 @@ class TestIntegrateScan:
         world = World(np.array([[2.0, -2.0, 2.0, 2.0]]))
         model = SensorModel(seed=1)
         scan, _ = simulate_scan(world, Pose2(0, 0, 0), model)
-        integrate_scan(grid, scan, Pose2(0, 0, 0), ExpansionPolicy(3), clip=True)
+        integrate_scan(grid, scan, Pose2(0, 0, 0), ExpansionPolicy(3))
         carved = (grid.W > 0) & (grid.F.astype(np.float64) >= grid.truncation * 0.999)
         assert carved.any()
         assert np.all(grid.F[grid.W > 0] >= -grid.truncation - 1e-6)
@@ -432,24 +439,16 @@ class TestIntegrateScan:
         policy = ExpansionPolicy.for_resolution(0.05)
         for i, pose in enumerate(poses):
             scan, _ = simulate_scan(world, pose, model, scan_index=i)
-            integrate_scan(grid, scan, pose, policy, clip=True)
+            integrate_scan(grid, scan, pose, policy)
 
-        geom = grid.geometry
-        res = geom.resolution
-        checked = 0
-        for row in range(geom.height):
-            for col in range(geom.width):
-                cx, cy = geom.cell_to_world(col, row)
-                if abs(cy) > 1.5:  # stay clear of the wall ends
-                    continue
-                true_sd = 2.0 - cx  # sensor side is x < 2
-                if abs(true_sd) > grid.truncation:
-                    continue
-                if grid.W[row, col] == 0.0:
-                    continue
-                assert abs(float(grid.F[row, col]) - true_sd) <= res / 2, (col, row)
-                checked += 1
-        assert checked > 100
+        rows, cols = np.nonzero(grid.W > 0.0)
+        cx, cy = grid.geometry.cells_to_world(cols, rows).T
+        true_sd = 2.0 - cx  # sensor side is x < 2
+        # Stay clear of the wall ends.
+        band = (np.abs(cy) <= 1.5) & (np.abs(true_sd) <= grid.truncation)
+        err = np.abs(grid.F[rows, cols].astype(np.float64) - true_sd)[band]
+        assert np.all(err <= grid.geometry.resolution / 2)
+        assert band.sum() > 100
 
     def test_expansion_updates_more_far_cells(self):
         # Sparse far-wall hits: expansion densifies the updated band.
@@ -460,7 +459,7 @@ class TestIntegrateScan:
             grid = make_grid(half=9.0, res=0.05, trunc=0.06)
             for i, pose in enumerate(poses):
                 scan, _ = simulate_scan(world, pose, model, scan_index=i)
-                integrate_scan(grid, scan, pose, ExpansionPolicy(max_exp), clip=True)
+                integrate_scan(grid, scan, pose, ExpansionPolicy(max_exp))
             return grid
 
         on = build(3)
@@ -493,8 +492,8 @@ class TestIntegrateScan:
 
         g_on = make_grid(half=2.5)
         g_off = make_grid(half=2.5)
-        integrate_scan(g_on, scan, Pose2(0, 0, 0), ExpansionPolicy(3), clip=True)
-        integrate_scan(g_off, scan, Pose2(0, 0, 0), ExpansionPolicy(0), clip=True)
+        integrate_scan(g_on, scan, Pose2(0, 0, 0), ExpansionPolicy(3))
+        integrate_scan(g_off, scan, Pose2(0, 0, 0), ExpansionPolicy(0))
         assert np.array_equal(g_on.F, g_off.F)
         assert np.array_equal(g_on.W, g_off.W)
 
@@ -513,7 +512,7 @@ class TestIntegrateScan:
         fast, frames = build()
         slow = fast.copy()
         for scan, pose in frames:
-            stats = integrate_scan(fast, scan, pose, policy, clip=True)
+            stats = integrate_scan(fast, scan, pose, policy)
             assert stats == integrate_by_ops(slow, scan, pose, policy).stats
 
             assert np.array_equal(fast.F, slow.F)

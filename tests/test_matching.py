@@ -164,17 +164,17 @@ class TestGaussNewton:
     def test_single_beam_singular(self, room_map):
         pts = np.array([[1.0, 0.0]])
         with pytest.raises(SingularHessian):
-            gauss_newton(room_map, pts, Pose2(0, 0, 0))
+            gauss_newton(room_map, pts, Pose2(0, 0, 0), 10, 1e-6, 0.01)
 
     def test_empty_points_singular(self, room_map):
         with pytest.raises(SingularHessian):
-            gauss_newton(room_map, np.empty((0, 2)), Pose2(0, 0, 0))
+            gauss_newton(room_map, np.empty((0, 2)), Pose2(0, 0, 0), 10, 1e-6, 0.01)
 
     def test_unknown_map_singular(self):
         grid = SdfGrid.unknown(GridGeometry(0, 0, 0.05, 30, 30), 0.06, 10.0)
         pts = np.random.default_rng(41).uniform(0.2, 1.2, (50, 2))
         with pytest.raises(SingularHessian):
-            gauss_newton(grid, pts, Pose2(0, 0, 0))
+            gauss_newton(grid, pts, Pose2(0, 0, 0), 10, 1e-6, 0.01)
 
     def test_never_worse_than_init(self, room_map):
         world = make_square_world()
@@ -315,7 +315,7 @@ class TestMatchTwoStage:
         # points of a new scan sit next to unknown nodes. Such a point has
         # no residual, so the trim must not count it as used.
         grid, scan, init = _young_submap_case()
-        cfg = MatchConfig.for_grid(grid)
+        cfg = MatchConfig.for_grid(grid, MatchConfig())
         pts = scan_to_points(scan)
 
         stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1,
@@ -345,7 +345,7 @@ class TestMatchTwoStage:
         # Reusing the sample changes no bit of the result. Stage one's
         # result carries the sample of its points at its best pose.
         grid, scan, init = match_case
-        cfg = MatchConfig.for_grid(grid)
+        cfg = MatchConfig.for_grid(grid, MatchConfig())
         pts = scan_to_points(scan)
         stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1,
                               cfg.convergence_eps, cfg.huber_delta)
@@ -366,11 +366,11 @@ class TestMatchTwoStage:
 class TestPredictPose:
     def test_single_prior(self):
         p = Pose2(1.0, 2.0, 0.5)
-        assert predict_pose([(0.0, p)]) == p
+        assert predict_pose([(0.0, p)], target_time=0.1) == p
 
     def test_linear_extrapolation(self):
         history = [(0.0, Pose2(0, 0, 0)), (1.0, Pose2(0.1, 0, 0))]
-        pred = predict_pose(history)
+        pred = predict_pose(history, target_time=2.0)
         assert pred.x == pytest.approx(0.2)
         assert pred.y == 0.0 and pred.theta == 0.0
 
@@ -383,9 +383,9 @@ class TestPredictPose:
     def test_shortest_arc_wrap(self):
         history = [(0.0, Pose2(0, 0, math.pi - 0.1)),
                    (1.0, Pose2(0, 0, -math.pi + 0.1))]
-        pred = predict_pose(history)
+        pred = predict_pose(history, target_time=2.0)
         assert pred.theta == pytest.approx(-math.pi + 0.3, abs=1e-12)
 
     def test_requires_history(self):
         with pytest.raises(ValueError):
-            predict_pose([])
+            predict_pose([], target_time=0.0)

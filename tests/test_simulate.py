@@ -10,8 +10,8 @@ from sdfslam.simulate import (
     SensorModel,
     TrajectoryScript,
     World,
+    _raycast_batch,
     parse_scenario,
-    raycast,
     rectangle_circuit,
     run_scenario,
     simulate_scan,
@@ -34,35 +34,39 @@ def min_distance_to_world(px, py, world, scan_index=None):
 
 
 class TestRaycast:
+    """``_raycast_batch``, the simulator's ray caster: inf marks a miss."""
+
+    ORIGIN = np.zeros(2)
+    EAST = np.array([[1.0, 0.0]])
+
     def test_perpendicular_wall(self):
-        world = World(np.array([[5.0, -1.0, 5.0, 1.0]]))
-        assert raycast(world, (0, 0), (1, 0), 10.0) == pytest.approx(5.0)
+        segs = np.array([[5.0, -1.0, 5.0, 1.0]])
+        assert _raycast_batch(segs, self.ORIGIN, self.EAST, 10.0)[0] == pytest.approx(5.0)
 
     def test_parallel_is_miss(self):
-        world = World(np.array([[0.0, 1.0, 5.0, 1.0]]))
-        assert raycast(world, (0, 0), (1, 0), 10.0) is None
+        segs = np.array([[0.0, 1.0, 5.0, 1.0]])
+        assert _raycast_batch(segs, self.ORIGIN, self.EAST, 10.0)[0] == np.inf
 
     def test_beyond_range_is_miss(self):
-        world = World(np.array([[5.0, -1.0, 5.0, 1.0]]))
-        assert raycast(world, (0, 0), (1, 0), 4.0) is None
+        segs = np.array([[5.0, -1.0, 5.0, 1.0]])
+        assert _raycast_batch(segs, self.ORIGIN, self.EAST, 4.0)[0] == np.inf
 
     def test_nearest_hit_wins(self):
-        world = World(np.array([
+        segs = np.array([
             [3.0, -1.0, 3.0, 1.0],
             [2.0, -1.0, 2.0, 1.0],
-        ]))
-        assert raycast(world, (0, 0), (1, 0), 10.0) == pytest.approx(2.0)
+        ])
+        assert _raycast_batch(segs, self.ORIGIN, self.EAST, 10.0)[0] == pytest.approx(2.0)
 
     def test_matches_ray_marching_oracle(self):
         rng = np.random.default_rng(50)
         for trial in range(10):
             segs = rng.uniform(-4, 4, (5, 4))
             segs[:, 2:] = segs[:, :2] + rng.uniform(0.5, 3.0, (5, 2))
-            world = World(segs)
             origin = rng.uniform(-1, 1, 2)
             ang = rng.uniform(-math.pi, math.pi)
             d = (math.cos(ang), math.sin(ang))
-            got = raycast(world, origin, d, 10.0)
+            got = _raycast_batch(segs, origin, np.array([d]), 10.0)[0]
 
             # March the ray at 0.1mm and find the first near-contact.
             t = np.arange(1e-4, 10.0, 1e-4)
@@ -80,9 +84,8 @@ class TestRaycast:
             expect = t[close[0]] if len(close) else None
 
             if expect is None:
-                assert got is None or got > 9.99
+                assert got > 9.99
             else:
-                assert got is not None
                 assert abs(got - expect) < 1e-3
 
     def test_dynamic_segment_schedule(self):
@@ -90,10 +93,9 @@ class TestRaycast:
             np.array([[5.0, -1.0, 5.0, 1.0]]),
             [DynamicSegment((2.0, -1.0, 2.0, 1.0), first=3, last=5)],
         )
-        assert raycast(world, (0, 0), (1, 0), 10.0, scan_index=2) == pytest.approx(5.0)
-        assert raycast(world, (0, 0), (1, 0), 10.0, scan_index=4) == pytest.approx(2.0)
-        assert raycast(world, (0, 0), (1, 0), 10.0, scan_index=6) == pytest.approx(5.0)
-        assert raycast(world, (0, 0), (1, 0), 10.0) == pytest.approx(5.0)
+        hits = [_raycast_batch(world.segments_for(k), self.ORIGIN, self.EAST, 10.0)[0]
+                for k in (2, 4, 6, None)]
+        assert hits == pytest.approx([5.0, 2.0, 5.0, 5.0])
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):
@@ -288,6 +290,12 @@ class TestRunScenario:
             (["segment = 0 0 1 0", "waypoint = 0 0 0 0", "dynamic = 0 1 1 1 2 4 9"], 3),
             (["segment = 0 0 1 0", "dynamic = 0 1 1 1 2"], 2),
             (["segment = 0 0 1 0", "waypoint = 0 0 0"], 2),
+            # A wall of zero length, or one scheduled to vanish before it
+            # appears, names its line instead of failing late or never showing.
+            (["segment = 0 0 1 0", "segment = 0 0 0 0"], 2),
+            (["segment = 0 0 1 0", "segment = nan 0 1 1"], 2),
+            (["segment = 0 0 1 0", "dynamic = 2 2 2 2 0 5"], 2),
+            (["segment = 0 0 1 0", "dynamic = 2 -1 2 1 10 5"], 2),
             # A rate that is not finite and positive would give no frames,
             # divide by zero or overflow the frame count.
             *((["segment = 0 0 1 0", f"rate = {rate}"], 2)
@@ -301,6 +309,10 @@ class TestRunScenario:
             bad.write_text("\n".join(lines + ["waypoint = 1 0 0 0"]) + "\n")
             with pytest.raises(ValueError, match=rf"bad\.txt:{line_no}: "):
                 parse_scenario(bad)
+        # Waypoints that share a time are bad only together: the file is named.
+        bad.write_text("segment = 0 0 1 0\nwaypoint = 1 0 0 0\nwaypoint = 1 1 0 0\n")
+        with pytest.raises(ValueError, match=r"bad\.txt: waypoint timestamps"):
+            parse_scenario(bad)
         # A range pair that is bad only together names the file.
         for pair in (("range_min = 5", "range_max = 5"), ("range_max = 0.02",)):
             bad.write_text("\n".join(["segment = 0 0 1 0", *pair,

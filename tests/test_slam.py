@@ -84,7 +84,7 @@ class TestWorker:
             grid = SdfGrid.unknown(sm.grid.geometry, sm.grid.truncation, sm.grid.w_max)
             for k in range(first, first + sm.scan_count):
                 local = compose(inverse(sm.pose), poses[k])
-                integrate_scan(grid, records[k].scan, local, policy, clip=True)
+                integrate_scan(grid, records[k].scan, local, policy)
             assert grid.F.tobytes() == sm.grid.F.tobytes(), sm.id
             assert grid.W.tobytes() == sm.grid.W.tobytes(), sm.id
 

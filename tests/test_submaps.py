@@ -158,9 +158,8 @@ class TestMergedBounds:
         span = geom.width * 0.05
         assert span >= 2.0 * math.sqrt(2.0)
         # All four transformed corners fall inside the merged area.
-        for x, y in transform_points(sm.pose, sm.grid.geometry.corners()):
-            col, row = geom.world_to_cell(x, y)
-            assert geom.contains(col, row)
+        cols, rows = geom.world_to_cells(transform_points(sm.pose, sm.grid.geometry.corners()))
+        assert np.all((cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height))
 
     def test_disjoint_union_covered(self):
         a = _known_submap(sid=0)
@@ -201,8 +200,7 @@ class TestSampleBicubic:
         rng = np.random.default_rng(61)
         g.F[:] = rng.uniform(-0.05, 0.05, g.F.shape).astype(np.float32)
         col, row = 20, 17
-        p = g.geometry.cell_to_world(col, row)
-        f, w, valid = self._sample(g, [p])
+        f, w, valid = self._sample(g, g.geometry.cells_to_world([col], [row]))
         assert valid[0]
         assert f[0] == pytest.approx(float(g.F[row, col]), abs=1e-12)
 
@@ -244,12 +242,12 @@ class TestMerge:
         merged = merge_submaps([sm])
         mg = merged.grid
         sg = sm.grid
-        for col in range(0, sg.geometry.width, 5):
-            for row in range(0, sg.geometry.height, 5):
-                x, y = sg.geometry.cell_to_world(col, row)
-                mcol, mrow = mg.geometry.world_to_cell(x, y)
-                assert abs(float(mg.F[mrow, mcol]) - float(sg.F[row, col])) <= 1e-9
-                assert float(mg.W[mrow, mcol]) == float(sg.W[row, col])
+        cols, rows = (a.ravel() for a in np.meshgrid(np.arange(0, sg.geometry.width, 5),
+                                                     np.arange(0, sg.geometry.height, 5)))
+        mcols, mrows = mg.geometry.world_to_cells(sg.geometry.cells_to_world(cols, rows))
+        f_err = mg.F[mrows, mcols].astype(np.float64) - sg.F[rows, cols].astype(np.float64)
+        assert np.all(np.abs(f_err) <= 1e-9)
+        assert np.array_equal(mg.W[mrows, mcols], sg.W[rows, cols])
 
     def test_overlapping_identical_weight_is_max(self):
         a = _known_submap(fill_f=0.02, fill_w=4.0, sid=0)
@@ -359,8 +357,8 @@ class TestMerge:
         for sm in sorted(subs, key=lambda s: s.id):
             sgeom = sm.grid.geometry
             corners = transform_points(sm.pose, np.asarray(sgeom.corners()))
-            col0, row0 = geom.world_to_cell(*corners.min(axis=0))
-            col1, row1 = geom.world_to_cell(*corners.max(axis=0))
+            (col0, col1), (row0, row1) = geom.world_to_cells(
+                [corners.min(axis=0), corners.max(axis=0)])
             col0, col1 = max(col0, 0), min(col1, geom.width - 1)
             row0, row1 = max(row0, 0), min(row1, geom.height - 1)
             if col0 > col1 or row0 > row1:
@@ -506,7 +504,6 @@ def merged_room():
         a = 2 * math.pi * k / 30
         pose = Pose2(0.4 * math.cos(a), 0.4 * math.sin(a), 0.5 * a)
         scan, _ = simulate_scan(world, pose, model, scan_index=k)
-        scan.timestamp = 0.1 * k
         records.append(ScanLogRecord(timestamp=0.1 * k, scan=scan, gt=pose))
     result = run_slam(records, params)
     # The map frame anchors at the first scan, so world poses convert by
