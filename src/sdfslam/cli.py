@@ -33,6 +33,20 @@ def _default(func, name: str):
     return inspect.signature(func).parameters[name].default
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _add_map_flags(p: argparse.ArgumentParser):
     p.add_argument("--resolution", type=float, default=SlamParams.resolution,
                    help="cell size, meters")
@@ -80,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", type=float, default=None)
     p.add_argument("--outlier-rate", type=float, default=None)
     p.add_argument("--scans", type=int, default=None,
-                   help="frame count for builtin scenarios (default: "
-                        f"{_default(rectangle_circuit, 'scans')})")
+                   help="write only the first N frames of a builtin scenario's "
+                        f"lap (default: all {_default(rectangle_circuit, 'scans')})")
 
     p = sub.add_parser("slam", help="build submaps and a merged map from a log")
     p.add_argument("--log", required=True, type=Path)
@@ -105,9 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, type=Path)
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--loc-iters", type=int, default=_default(pure_localize, "iters"),
+    p.add_argument("--loc-iters", type=_positive_int,
+                   default=_default(pure_localize, "iters"),
                    help="iteration cap for both stages")
-    p.add_argument("--init", type=float, nargs=3, metavar=("X", "Y", "THETA"),
+    p.add_argument("--init", type=_finite_float, nargs=3, metavar=("X", "Y", "THETA"),
                    default=None,
                    help="initial pose in the map frame, whose origin is the "
                         "first SLAM pose (default: the origin)")
@@ -129,8 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     if args.scenario == "rectangle-circuit":
-        scans = {} if args.scans is None else {"scans": args.scans}
-        world, script, model, rate = rectangle_circuit(**scans)
+        # --scans cuts the lap short; it never changes the frame spacing.
+        lap = _default(rectangle_circuit, "scans")
+        if args.scans is not None and args.scans < 2:
+            raise ValueError("scans must be at least 2")
+        if args.scans is not None and args.scans > lap:
+            print(f"error: --scans must be at most {lap}, the frames of one lap",
+                  file=sys.stderr)
+            return 2
+        world, script, model, rate = rectangle_circuit()
     elif args.scans is not None:
         print("error: --scans applies to builtin scenarios only", file=sys.stderr)
         return 2
@@ -139,7 +161,7 @@ def cmd_simulate(args) -> int:
     overrides = {"seed": args.seed, "noise_sigma": args.noise_sigma,
                  "outlier_rate": args.outlier_rate}
     model = replace(model, **{k: v for k, v in overrides.items() if v is not None})
-    records = run_scenario(world, script, model, rate)
+    records = run_scenario(world, script, model, rate)[:args.scans]
     logio.write_scan_log(records, args.out)
     if args.gt_out is not None:
         logio.write_trajectory(args.gt_out, [(r.timestamp, r.gt) for r in records])

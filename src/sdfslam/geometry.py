@@ -113,8 +113,8 @@ class GridGeometry:
     ``origin`` is the world coordinate of the *center* of cell (0, 0); cell
     indices are (col, row) counted from the grid's minimum corner. With
     center-anchored cells, :meth:`world_to_cells` of a cell center returns
-    that cell exactly. Both conversions take whole arrays; a single point is
-    a one-row array.
+    that cell exactly. Both conversions and :meth:`holds`, the one in-grid
+    test, take whole arrays; a single point is a one-row array.
     """
 
     origin_x: float
@@ -142,6 +142,10 @@ class GridGeometry:
         out[:, 0] = self.origin_x + np.asarray(cols) * self.resolution
         out[:, 1] = self.origin_y + np.asarray(rows) * self.resolution
         return out
+
+    def holds(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Whether each (col, row) is a cell of this grid, as a bool array."""
+        return (cols >= 0) & (cols < self.width) & (rows >= 0) & (rows < self.height)
 
     def corners(self) -> list[tuple[float, float]]:
         """The four outer corners of the covered cell area, in meters."""

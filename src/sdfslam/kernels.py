@@ -5,12 +5,13 @@ Grid arrays are row-major float32 with shape (height, width), indexed
 (ox + col * res, oy + row * res). A point is *interior* when its continuous
 cell coordinates lie in [0, width-1] x [0, height-1].
 
-The package calls :func:`bilinear` (the matcher, through
-``matching._sample``) and :func:`bicubic_fw` (the merge), which falls back
-to :func:`bilinear_fw`. :func:`bilinear_wf`, :func:`traverse_free` and
-``BACKEND`` have no caller in the package; they stay only while the
-benchmark's tracer names them (ROADMAP item D), and the tests use
-``traverse_free`` as the reference for ``mapping.traverse_beams``.
+:func:`bilinear` is the one bilinear blend: ``matching._sample`` (the
+matcher), :func:`bilinear_fw` (the fallback of :func:`bicubic_fw`, the
+merge, which keeps its own W blend) and :func:`bilinear_wf` mask its result.
+:func:`bilinear_wf`, :func:`traverse_free` and ``BACKEND`` have no caller
+in the package; they stay only while the benchmark's tracer names them
+(ROADMAP item D). The tests use ``traverse_free``, with its own in-grid
+test, as the reference for ``mapping.traverse_beams``.
 """
 
 from __future__ import annotations
@@ -21,55 +22,13 @@ import numpy as np
 BACKEND = "python"
 
 
-# No caller in the package: the benchmark traces it and the tests check it.
-def bilinear_wf(F, W, ox, oy, res, trunc, wmax, pts):
-    """Sample the weighted-distance field W*F with its analytic gradient.
-
-    Each unknown node (W == 0) is replaced by the constant ``wmax * trunc``
-    before the bilinear blend. A point whose four nodes are all unknown, or
-    that lies outside the interior, gets that constant with zero gradient; a
-    point with only some unknown nodes gets a slope toward them.
-
-    Returns (values, grad_x, grad_y) float64 arrays, one entry per point.
-    """
+def _cell_coords(pts, ox, oy, res, shape):
+    """Continuous cell coordinates (u, v) of (n, 2) points, and the interior mask."""
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    h, w = F.shape
-    sat = wmax * trunc
-
+    h, w = shape
     u = (pts[:, 0] - ox) / res
     v = (pts[:, 1] - oy) / res
-    inside = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-
-    n = len(pts)
-    val = np.full(n, sat, dtype=np.float64)
-    gx = np.zeros(n, dtype=np.float64)
-    gy = np.zeros(n, dtype=np.float64)
-    if not inside.any():
-        return val, gx, gy
-
-    ui, vi = u[inside], v[inside]
-    i0 = np.minimum(np.floor(ui).astype(np.int64), w - 2)
-    j0 = np.minimum(np.floor(vi).astype(np.int64), h - 2)
-    tu = ui - i0
-    tv = vi - j0
-
-    nodes = (j0 * w + i0) + np.array([[0], [1], [w], [w + 1]])
-    f00, f10, f01, f11 = F.ravel().take(nodes)
-    w00, w10, w01, w11 = W.ravel().take(nodes)
-
-    def node(fv, wv):
-        wv = wv.astype(np.float64)
-        fv = fv.astype(np.float64)
-        return np.where(wv > 0.0, wv * fv, sat)
-
-    m00, m10, m01, m11 = node(f00, w00), node(f10, w10), node(f01, w01), node(f11, w11)
-
-    val[inside] = (1.0 - tv) * ((1.0 - tu) * m00 + tu * m10) + tv * (
-        (1.0 - tu) * m01 + tu * m11
-    )
-    gx[inside] = ((1.0 - tv) * (m10 - m00) + tv * (m11 - m01)) / res
-    gy[inside] = ((1.0 - tu) * (m01 - m00) + tu * (m11 - m10)) / res
-    return val, gx, gy
+    return u, v, (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
 
 
 def bilinear(F, W, ox, oy, res, pts):
@@ -79,14 +38,10 @@ def bilinear(F, W, ox, oy, res, pts):
     mask, and the float32 W of each point's four nodes, one row per corner
     (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1). A point outside the
     interior, a non-finite one too, reads a border cell and may give NaN or
-    inf. :func:`bilinear_fw` and ``matching._sample`` mask this result.
+    inf; every caller masks this result.
     """
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
     h, w = F.shape
-
-    u = (pts[:, 0] - ox) / res
-    v = (pts[:, 1] - oy) / res
-    inside = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    u, v, inside = _cell_coords(pts, ox, oy, res, F.shape)
     # fmin and fmax send NaN to the bound, so every index lies in the grid;
     # for an interior point this is min(int(u), w - 2).
     i0 = np.fmin(np.fmax(u, 0.0), w - 2.0).astype(np.int64)
@@ -120,8 +75,23 @@ def bilinear_fw(F, W, ox, oy, res, trunc, pts):
     return np.where(inside, f, trunc), np.where(inside, wv, 0.0)
 
 
-# No caller in the package: the benchmark traces it and the tests use it as
-# the reference for mapping.traverse_beams.
+def bilinear_wf(F, W, ox, oy, res, trunc, wmax, pts):
+    """Sample the weighted-distance field W*F with its analytic gradient.
+
+    A mask over :func:`bilinear` on the grid W*F, whose unknown nodes
+    (W == 0) hold the constant ``wmax * trunc``. A point whose four nodes
+    are all unknown, or that is not interior (a non-finite one too), gets
+    that constant with zero gradient; one with only some unknown nodes gets
+    a slope toward them.
+
+    Returns (values, grad_x, grad_y) float64 arrays, one entry per point.
+    """
+    sat = wmax * trunc
+    M = np.where(W > 0.0, W.astype(np.float64) * F.astype(np.float64), sat)
+    m, gx, gy, _, inside, _ = bilinear(M, W, ox, oy, res, pts)
+    return np.where(inside, m, sat), np.where(inside, gx, 0.0), np.where(inside, gy, 0.0)
+
+
 def traverse_free(ox, oy, res, width, height, x0, y0, ux, uy, extent):
     """Cells carved as free along one beam.
 
@@ -204,23 +174,19 @@ def bicubic_fw(F, W, ox, oy, res, trunc, pts):
     Returns (f_values, w_values, valid_mask).
     """
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    h, w = F.shape
+    u, v, inside = _cell_coords(pts, ox, oy, res, F.shape)
     n = len(pts)
 
     fv = np.full(n, trunc, dtype=np.float64)
     wv = np.zeros(n, dtype=np.float64)
     valid = np.zeros(n, dtype=bool)
-
-    u = (pts[:, 0] - ox) / res
-    v = (pts[:, 1] - oy) / res
-    inside = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
     if not inside.any():
         return fv, wv, valid
 
     # Taps by flat index into the edge-padded grids: padded [j + 1, i + 1]
     # holds cell [j, i] with both indices clamped to the grid, so tap
     # (di, dj) of the patch around cell (i1, j1) is at base + dj*stride + di.
-    stride = w + 3
+    stride = F.shape[1] + 3
     Fp = np.pad(F, ((1, 2), (1, 2)), mode="edge").ravel()
     Wp = np.pad(W, ((1, 2), (1, 2)), mode="edge").ravel()
     kp = Wp > 0.0

@@ -248,8 +248,11 @@ def read_submaps(directory) -> list[Submap]:
         tokens = line.split()
         if len(tokens) != 7:
             raise ParseError(i, "expected 'id finished scans x y theta file'")
-        sid, finished, scans = int(tokens[0]), bool(int(tokens[1])), int(tokens[2])
-        pose = Pose2(float(tokens[3]), float(tokens[4]), float(tokens[5]))
+        try:
+            sid, finished, scans = int(tokens[0]), bool(int(tokens[1])), int(tokens[2])
+            pose = Pose2(float(tokens[3]), float(tokens[4]), float(tokens[5]))
+        except ValueError as exc:
+            raise ParseError(i, str(exc)) from None
         grid = load_map(directory / tokens[6])
         out.append(Submap(grid=grid, pose=pose, id=sid, scan_count=scans,
                           finished=finished))

@@ -136,7 +136,7 @@ def integrate_scan(grid: SdfGrid, scan, pose: Pose2,
         return stats
     pts_world = transform_points(pose, pts_sensor)
     cols, rows = geom.world_to_cells(pts_world)
-    inb = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
+    inb = geom.holds(cols, rows)
     if not inb.any():
         return stats  # no fitted cell, so no beam has a line to carve with
 
@@ -196,8 +196,7 @@ class _Cells(NamedTuple):
     hit points in beam order, as the reference's point search sees its bucket.
     """
 
-    width: int
-    height: int
+    geom: GridGeometry
     keys: np.ndarray  # sorted flat ids (row * width + col)
     ids: np.ndarray  # cell number of each entry of ``keys``
     col: np.ndarray
@@ -208,10 +207,10 @@ class _Cells(NamedTuple):
 
     def find(self, cols, rows) -> np.ndarray:
         """Cell number at each (col, row), or -1 where no hit landed."""
-        inside = (cols >= 0) & (cols < self.width) & (rows >= 0) & (rows < self.height)
-        key = rows * self.width + cols
+        key = rows * self.geom.width + cols
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        return np.where(inside & (self.keys[pos] == key), self.ids[pos], -1)
+        return np.where(self.geom.holds(cols, rows) & (self.keys[pos] == key),
+                        self.ids[pos], -1)
 
 
 def _bucket_hits(geom: GridGeometry, cols, rows, inb) -> _Cells:
@@ -225,7 +224,7 @@ def _bucket_hits(geom: GridGeometry, cols, rows, inb) -> _Cells:
     cell_of_hit = ids[inverse]
     count = np.bincount(cell_of_hit, minlength=len(keys))
     return _Cells(
-        width=geom.width, height=geom.height, keys=keys, ids=ids,
+        geom=geom, keys=keys, ids=ids,
         col=keys[appear] % geom.width, row=keys[appear] // geom.width,
         count=count, start=np.cumsum(count) - count,
         hits=hit[np.argsort(cell_of_hit, kind="stable")],
@@ -354,8 +353,7 @@ def _surface_updates(grid: SdfGrid, cells: _Cells, fit: _Lines):
     sd = nx * (tx - fit.cx[:, None]) + ny * (ty - fit.cy[:, None])
     px = tx - sd * nx
     py = ty - sd * ny
-    keep = ((tcol >= 0) & (tcol < geom.width) & (trow >= 0) & (trow < geom.height)
-            & (ccx - half <= px) & (px <= ccx + half)
+    keep = (geom.holds(tcol, trow) & (ccx - half <= px) & (px <= ccx + half)
             & (ccy - half <= py) & (py <= ccy + half))
     target = (trow * geom.width + tcol)[keep]
     f = np.clip(sd[keep], -trunc, trunc)
@@ -446,7 +444,7 @@ def traverse_beams(geom: GridGeometry, x0: float, y0: float, ux, uy, extent):
     b = np.repeat(beams, size - 1)
     cols = np.floor((x0 + ux[b] * tm - ox) / res + 0.5).astype(np.int64)
     rows = np.floor((y0 + uy[b] * tm - oy) / res + 0.5).astype(np.int64)
-    inb = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
+    inb = geom.holds(cols, rows)
     b, cols, rows = b[inb], cols[inb], rows[inb]
     proj = (ox + cols * res - x0) * ux[b] + (oy + rows * res - y0) * uy[b]
     keep = (proj >= 0.0) & (proj <= extent[b])

@@ -317,7 +317,7 @@ def _cover(sm: Submap, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     mark[:, 1:] |= mark[:, :-1]
     rows, cols = np.nonzero(mark)
     cols, rows = cols + x0, rows + y0
-    inside = (cols >= 0) & (cols < geom.width) & (rows >= 0) & (rows < geom.height)
+    inside = geom.holds(cols, rows)
     return cols[inside], rows[inside]
 
 

@@ -28,6 +28,14 @@ def run(*argv):
     return code, out.getvalue()
 
 
+def usage_error(*argv):
+    """The exit code and message of a command that argparse rejects."""
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main([str(a) for a in argv])
+    return exc.value.code, err.getvalue()
+
+
 def rmse_translation(text):
     for line in text.splitlines():
         key, _, value = line.partition(" ")
@@ -121,6 +129,20 @@ class TestPipeline:
         assert "localize: 120 scans, 1 match failures" in steps["localize-gap"][1]
         assert len((d / "loc_gap.txt").read_text().splitlines()) == FRAMES
 
+    def test_scans_cut_the_lap_short(self, pipeline, tmp_path):
+        # --scans 60 writes the lap's first 60 frames, so the frame spacing
+        # stays the reference lap's and every match succeeds.
+        d, _ = pipeline
+        code, text = run("simulate", "--scenario", "rectangle-circuit", "--scans", 60,
+                         "--out", tmp_path / "scans.log")
+        assert code == 0 and "wrote 60 records" in text
+        full = (d / "full.log").read_text().splitlines(keepends=True)
+        assert (tmp_path / "scans.log").read_text() == "".join(full[:60])
+        code, text = run("slam", "--log", tmp_path / "scans.log",
+                         "--out-dir", tmp_path / "slam")
+        assert code == 0
+        assert "slam: 60 scans" in text and "0 match failures" in text
+
     def test_slam_rejects_one_scan_submaps(self, pipeline, tmp_path):
         # Every submap would finish before it could be a matching target.
         d, _ = pipeline
@@ -175,6 +197,28 @@ class TestUsage:
         assert code == 1
         assert "scans must be at least 2" in text
         assert not (tmp_path / "scans.log").exists()
+
+    def test_more_scans_than_one_lap_stop_with_a_diagnostic(self, tmp_path):
+        code, text = run("simulate", "--scenario", "rectangle-circuit",
+                         "--out", tmp_path / "scans.log", "--scans", 401)
+        assert code == 2
+        assert "--scans" in text and "400" in text
+        assert not (tmp_path / "scans.log").exists()
+
+    @pytest.mark.parametrize("flag, values", [
+        ("--init", ["0", "0", "nan"]),
+        ("--init", ["inf", "0", "0"]),
+        ("--loc-iters", ["0"]),
+        ("--loc-iters", ["-2"]),
+    ])
+    def test_bad_localize_flag_stops_with_its_name(self, tmp_path, flag, values):
+        # Rejected before any file is read: neither input exists.
+        code, text = usage_error("localize", "--map", tmp_path / "m.sdf2",
+                                 "--log", tmp_path / "l.txt", "--out", tmp_path / "o.txt",
+                                 flag, *values)
+        assert code == 2
+        assert f"argument {flag}" in text
+        assert not (tmp_path / "o.txt").exists()
 
     def test_scans_rejected_for_scenario_file(self, tmp_path):
         # A scenario file sets its own frame count from its waypoints.

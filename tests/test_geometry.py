@@ -130,6 +130,11 @@ class TestGridGeometry:
                                                      np.arange(0, 30, 5)))
         back = geom.world_to_cells(geom.cells_to_world(cols, rows))
         assert np.array_equal(back[0], cols) and np.array_equal(back[1], rows)
+        assert geom.holds(cols, rows).all()
+        # The first and last cell of each axis, and one step beyond them.
+        beyond = [False, True, True, False]
+        assert geom.holds(np.array([-1, 0, 39, 40]), np.full(4, 5)).tolist() == beyond
+        assert geom.holds(np.full(4, 5), np.array([-1, 0, 29, 30])).tolist() == beyond
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

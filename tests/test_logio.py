@@ -127,3 +127,16 @@ class TestTrajectoryAndSubmaps:
             assert (got.id, got.pose, got.scan_count, got.finished) == (
                 want.id, want.pose, want.scan_count, want.finished)
             _assert_grids_identical(got.grid, want.grid)
+
+    def test_bad_submap_index_names_the_line(self, tmp_path):
+        submaps = [Submap(grid=_grid(k), pose=Pose2(k, 0.0, 0.0), id=k, scan_count=10,
+                          finished=True) for k in range(2)]
+        logio.write_submaps(submaps, tmp_path / "set")
+        index = tmp_path / "set" / "index.txt"
+        lines = index.read_text().splitlines()
+        lines[1] = "x " + lines[1].split(" ", 1)[1]
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            logio.read_submaps(tmp_path / "set")
+        assert exc.value.line == 2
+        assert "'x'" in exc.value.reason
