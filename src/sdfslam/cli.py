@@ -79,6 +79,26 @@ def _from_flags(cls, args, **given):
     return cls(**flags, **given)
 
 
+def _flag_names(p: argparse.ArgumentParser) -> dict[str, str]:
+    """The flag of each of ``p``'s settings, by the field it sets."""
+    settings = {f.name for cls in (SlamParams, MatchConfig) for f in fields(cls)}
+    return {a.dest: a.option_strings[0] for a in p._actions if a.dest in settings}
+
+
+def _checked(build, args):
+    """``build(args)``, once each settings flag has been built alone.
+
+    Every other setting then keeps the library's default, so a bad value's
+    error can name its flag, and it shows before any file is read.
+    """
+    for dest, flag in args.flag_names.items():
+        try:
+            build(argparse.Namespace(**{dest: getattr(args, dest)}))
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+    return build(args)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sdfslam")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -110,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scans per submap before it is finished")
     p.add_argument("--submap-cells", type=int, default=SlamParams.submap_cells,
                    help="submap side length in cells")
+    p.set_defaults(flag_names=_flag_names(p))
 
     p = sub.add_parser("merge", help="merge a submap set into one map file")
     p.add_argument("--submaps", required=True, type=Path)
@@ -127,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial pose in the map frame, whose origin is the "
                         "first SLAM pose (default: the origin)")
     _add_match_flags(p)
+    p.set_defaults(flag_names=_flag_names(p))
 
     p = sub.add_parser("eval", help="RMSE between two trajectory files")
     p.add_argument("--est", required=True, type=Path)
@@ -170,11 +192,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_slam(args) -> int:
+    params = _checked(
+        lambda ns: _from_flags(SlamParams, ns, match=_from_flags(MatchConfig, ns)), args)
     records = logio.parse_scan_log(args.log)
     if not records:
         print("error: empty scan log", file=sys.stderr)
         return 1
-    params = _from_flags(SlamParams, args, match=_from_flags(MatchConfig, args))
     result = run_slam(records, params)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -196,7 +219,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    cfg = _from_flags(MatchConfig, args)
+    cfg = _checked(lambda ns: _from_flags(MatchConfig, ns), args)
     grid = logio.load_map(args.map)
     merged = MergedMap(grid=grid, provenance=[])
     records = logio.parse_scan_log(args.log)

@@ -31,10 +31,25 @@ class SlamParams:
     submap_cells: int = SubmapCollection.cells
     match: MatchConfig = field(default_factory=MatchConfig)
 
+    def __post_init__(self):
+        # Bad settings fail here, before any scan is read.
+        self.expansion_policy()
+        self.collection()
+
     def expansion_policy(self) -> ExpansionPolicy:
         if self.max_expansions is None:
             return ExpansionPolicy.for_resolution(self.resolution)
         return ExpansionPolicy(self.max_expansions)
+
+    def collection(self) -> SubmapCollection:
+        """An empty submap window with these settings; it starts no worker."""
+        return SubmapCollection(
+            scans_per_submap=self.submap_scans,
+            cells=self.submap_cells,
+            resolution=self.resolution,
+            truncation=self.truncation,
+            w_max=self.w_max,
+        )
 
 
 @dataclass
@@ -53,13 +68,7 @@ def run_slam(records, params: SlamParams | None = None) -> SlamResult:
     if params is None:
         params = SlamParams()
     policy = params.expansion_policy()
-    collection = SubmapCollection(
-        scans_per_submap=params.submap_scans,
-        cells=params.submap_cells,
-        resolution=params.resolution,
-        truncation=params.truncation,
-        w_max=params.w_max,
-    )
+    collection = params.collection()
 
     trajectory: list[tuple[float, Pose2]] = []
     failures = 0

@@ -152,7 +152,7 @@ class SubmapCollection:
         # Bilinear sampling reads a 2x2 block of nodes.
         if self.cells < 2:
             raise ValueError("cells must be at least 2")
-        for name in ("truncation", "w_max"):
+        for name in ("resolution", "truncation", "w_max"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
 

@@ -183,6 +183,18 @@ class TestUsage:
         assert "trim_threshold must be positive" in text
         assert not (tmp_path / "o.txt").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--iters1", 0, "max_iters_stage1 must be positive"),
+        ("--max-expansions", -1, "max_expansions must be >= 0"),
+    ])
+    def test_bad_slam_flag_stops_with_its_name(self, tmp_path, flag, value, message):
+        # Checked before the log is read: the log does not exist.
+        code, text = run("slam", "--log", tmp_path / "missing.log",
+                         "--out-dir", tmp_path / "slam", flag, value)
+        assert code == 1
+        assert text == f"error: {flag}: {message}\n"
+        assert not (tmp_path / "slam").exists()
+
     def test_negative_noise_stops_with_a_diagnostic(self, tmp_path):
         code, text = run("simulate", "--scenario", "rectangle-circuit",
                          "--out", tmp_path / "scans.log", "--noise-sigma", -0.05)

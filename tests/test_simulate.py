@@ -185,7 +185,7 @@ class TestSimulateScan:
         {"noise_sigma": -0.05}, {"noise_sigma": float("nan")},
         {"beam_count": 0}, {"range_min": -0.1},
         {"range_min": 5.0, "range_max": 4.0}, {"range_min": 4.0, "range_max": 4.0},
-        {"range_max": float("nan")},
+        {"range_max": float("nan")}, {"fov": float("nan")},
     ])
     def test_rejects_settings_that_simulate_something_else(self, setting):
         # A negative or NaN sigma would give noise-free scans, and an empty
@@ -305,6 +305,10 @@ class TestRunScenario:
             (["segment = 0 0 1 0", "seed = 1", "outlier_rate = 2"], 3),
             (["segment = 0 0 1 0", "range_min = -1"], 2),
             (["segment = 0 0 1 0", "range_max = nan"], 2),
+            # A field of view outside (0, 360] degrees: NaN would write NaN
+            # beam angles and a miss on every beam.
+            *((["segment = 0 0 1 0", f"fov_deg = {fov}"], 2)
+              for fov in ("nan", "0", "-90", "400")),
         ):
             bad.write_text("\n".join(lines + ["waypoint = 1 0 0 0"]) + "\n")
             with pytest.raises(ValueError, match=rf"bad\.txt:{line_no}: "):

@@ -61,6 +61,7 @@ class TestLifecycle:
         {"scans_per_submap": 0}, {"scans_per_submap": 1},
         {"truncation": 0.0}, {"truncation": float("nan")},
         {"w_max": 0.0}, {"w_max": -1.0}, {"w_max": float("nan")},
+        {"resolution": 0.0}, {"resolution": float("nan")},
     ])
     def test_rejects_unworkable_settings(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
