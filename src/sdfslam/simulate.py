@@ -128,8 +128,12 @@ class SensorModel:
 
     @property
     def angle_increment(self) -> float:
+        """Beams span the field of view end to end; a full circle's beams
+        are spaced by ``fov / beam_count``, so the last is not the first."""
         if self.beam_count < 2:
             return 0.0
+        if self.fov == 2.0 * math.pi:
+            return self.fov / self.beam_count
         return self.fov / (self.beam_count - 1)
 
 

@@ -353,13 +353,13 @@ def merge_submaps(submaps) -> MergedMap:
         )
         if not valid.any():
             continue
-        vc, vr = cols[valid], rows[valid]
+        flat = rows[valid] * geom.width + cols[valid]
         fb, wb = fb[valid], wb[valid]
-        fm = merged.F[vr, vc].astype(np.float64)
-        wm = merged.W[vr, vc].astype(np.float64)
+        fm = merged.F.take(flat).astype(np.float64)
+        wm = merged.W.take(flat).astype(np.float64)
         fused = np.where(wm == 0.0, fb, (wm * fm + wb * fb) / (wm + wb))
-        merged.F[vr, vc] = fused.astype(np.float32)
-        merged.W[vr, vc] = np.maximum(wm, wb).astype(np.float32)
+        merged.F.put(flat, fused.astype(np.float32))
+        merged.W.put(flat, np.maximum(wm, wb).astype(np.float32))
 
     return MergedMap(grid=merged, provenance=[sm.id for sm in submaps])
 

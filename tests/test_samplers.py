@@ -1,11 +1,14 @@
-"""The plain bilinear samplers against their compact-and-scatter forms.
+"""The samplers against reference forms that must give the same bytes.
 
 ``matching._sample`` and ``kernels.bilinear_fw`` evaluate every point and
-mask once. The references below select the supported points first, sample
+mask once. Their references select the supported points first, sample
 only those and scatter the results into outputs preset to the unsupported
-value. Both forms must give the same bytes, with no warning, for points on
-and between the nodes, on the last row and column, off the grid and
-non-finite.
+value. ``kernels.bicubic_fw`` reads each sample's support from masks over
+the grid that it builds once per call; its reference gathers the nearest
+nodes and the 4x4 patch of every sample from the known mask, and the merge
+is checked against a fold over that reference. Each pair must give the same
+bytes, with no warning, for points on and between the nodes, on the last
+row and column, off the grid and non-finite.
 """
 
 import warnings
@@ -13,8 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sdfslam import kernels, matching
-from sdfslam.geometry import GridGeometry
+from sdfslam import kernels, matching, submaps
+from sdfslam.geometry import GridGeometry, Pose2, inverse, transform_points
 from sdfslam.mapping import SdfGrid
 
 TRUNC = 0.06
@@ -88,6 +91,67 @@ def reference_bilinear_fw(F, W, ox, oy, res, trunc, pts):
     return fv, wv
 
 
+def reference_bicubic_fw(F, W, ox, oy, res, trunc, pts):
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    u, v, inside = kernels._cell_coords(pts, ox, oy, res, F.shape)
+    n = len(pts)
+
+    fv = np.full(n, trunc, dtype=np.float64)
+    wv = np.zeros(n, dtype=np.float64)
+    valid = np.zeros(n, dtype=bool)
+    if not inside.any():
+        return fv, wv, valid
+
+    # Taps by flat index into the edge-padded grids: padded [j + 1, i + 1]
+    # holds cell [j, i] with both indices clamped to the grid, so tap
+    # (di, dj) of the patch around cell (i1, j1) is at base + dj*stride + di.
+    stride = F.shape[1] + 3
+    Fp = np.pad(F, ((1, 2), (1, 2)), mode="edge").ravel()
+    Wp = np.pad(W, ((1, 2), (1, 2)), mode="edge").ravel()
+    kp = Wp > 0.0
+
+    idx = np.flatnonzero(inside)
+    i1 = np.floor(u[idx]).astype(np.int64)
+    j1 = np.floor(v[idx]).astype(np.int64)
+    tu = u[idx] - i1
+    tv = v[idx] - j1
+    base = j1 * stride + i1
+    a = base + stride + 1  # the nearest node, cell (i1, j1)
+    # A nearest node must be known only where its bilinear weight is
+    # nonzero, so a sample on a known node's row or column stays valid.
+    right, up = tu > 0.0, tv > 0.0
+    known = (kp[a] & (kp[a + 1] | ~right) & (kp[a + stride] | ~up)
+             & (kp[a + stride + 1] | ~(right & up)))
+    idx, tu, tv, base, a = idx[known], tu[known], tv[known], base[known], a[known]
+
+    wa = Wp[a].astype(np.float64)
+    wb = Wp[a + 1].astype(np.float64)
+    wc = Wp[a + stride].astype(np.float64)
+    wd = Wp[a + stride + 1].astype(np.float64)
+    wv[idx] = (1.0 - tv) * ((1.0 - tu) * wa + tu * wb) + tv * (
+        (1.0 - tu) * wc + tu * wd
+    )
+    valid[idx] = True
+
+    patch = (np.arange(4)[:, None] * stride + np.arange(4)).ravel()
+    full = kp[base[:, None] + patch].all(axis=1)
+    if not full.all():
+        part = idx[~full]
+        fv[part], _ = kernels.bilinear_fw(F, W, ox, oy, res, trunc, pts[part])
+        idx, base, tu, tv = idx[full], base[full], tu[full], tv[full]
+
+    wx = kernels._catmull_rom_weights(tu)
+    wy = kernels._catmull_rom_weights(tv)
+    acc = np.zeros(len(idx), dtype=np.float64)
+    for dj in range(4):
+        row = np.zeros(len(idx), dtype=np.float64)
+        for di in range(4):
+            row += wx[di] * Fp[base + (dj * stride + di)].astype(np.float64)
+        acc += wy[dj] * row
+    fv[idx] = np.minimum(np.maximum(acc, -trunc), trunc)
+    return fv, wv, valid
+
+
 def random_grid(rng, geom, unknown_frac=0.3):
     shape = (geom.height, geom.width)
     F = rng.uniform(-TRUNC, TRUNC, shape).astype(np.float32)
@@ -158,3 +222,75 @@ class TestSamplersMatchReference:
                 warnings.simplefilter("error")
                 got = kernels.bilinear_fw(*args, pts)
             assert_same_bytes(got, reference_bilinear_fw(*args, pts), name)
+
+    @pytest.mark.parametrize("unknown_frac", [0.0, 0.3, 1.0])
+    def test_bicubic_fw(self, geom, unknown_frac):
+        rng = np.random.default_rng(93)
+        grid = random_grid(rng, geom, unknown_frac)
+        args = (grid.F, grid.W, geom.origin_x, geom.origin_y, geom.resolution, TRUNC)
+        for name, pts in point_sets(rng, geom).items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = kernels.bicubic_fw(*args, pts)
+            assert_same_bytes(got, reference_bicubic_fw(*args, pts), name)
+
+
+def reference_merge(subs):
+    """The merge as a fold over ``reference_bicubic_fw`` with a 2-D index fuse."""
+    subs = sorted(subs, key=lambda s: s.id)
+    geom = submaps.merged_bounds(subs)
+    merged = SdfGrid.unknown(geom, subs[0].grid.truncation, subs[0].grid.w_max)
+    for sm in subs:
+        sgeom = sm.grid.geometry
+        cols, rows = submaps._cover(sm, geom)
+        local = transform_points(inverse(sm.pose), geom.cells_to_world(cols, rows))
+        fb, wb, valid = reference_bicubic_fw(
+            sm.grid.F, sm.grid.W, sgeom.origin_x, sgeom.origin_y,
+            sgeom.resolution, sm.grid.truncation, local)
+        vc, vr = cols[valid], rows[valid]
+        fb, wb = fb[valid], wb[valid]
+        fm = merged.F[vr, vc].astype(np.float64)
+        wm = merged.W[vr, vc].astype(np.float64)
+        fused = np.where(wm == 0.0, fb, (wm * fm + wb * fb) / (wm + wb))
+        merged.F[vr, vc] = fused.astype(np.float32)
+        merged.W[vr, vc] = np.maximum(wm, wb).astype(np.float32)
+    return merged
+
+
+@pytest.mark.parametrize("seed", [94, 95, 96])
+def test_merge_matches_reference(seed, monkeypatch):
+    # Rotated, overlapping submaps with holes: samples fall in full, partial
+    # and unknown patches, and the fuse reads cells that earlier submaps set.
+    rng = np.random.default_rng(seed)
+    cells, res = 40, 0.05
+    half = 0.5 * (cells - 1) * res
+    subs = []
+    for sid, theta in enumerate((0.3, -1.1, 2.0)):
+        geom = GridGeometry(-half, -half, res, cells, cells)
+        grid = random_grid(rng, geom, unknown_frac=0.2)
+        for _ in range(4):
+            r, c = rng.integers(0, cells - 8, 2)
+            grid.W[r:r + rng.integers(2, 8), c:c + rng.integers(2, 8)] = 0.0
+        grid.F[grid.W == 0.0] = TRUNC
+        pose = Pose2(*rng.uniform(-0.4, 0.4, 2), theta)
+        subs.append(submaps.Submap(grid=grid, pose=pose, id=sid, scan_count=1,
+                                   finished=True))
+
+    fallback, partial = kernels.bilinear_fw, []
+
+    def counting(*args):
+        partial.append(len(args[6]))
+        return fallback(*args)
+
+    monkeypatch.setattr(kernels, "bilinear_fw", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = submaps.merge_submaps(subs[::-1]).grid
+    assert sum(partial) > 100
+    monkeypatch.undo()
+
+    want = reference_merge(subs)
+    assert got.geometry == want.geometry
+    assert np.count_nonzero(got.W) > 500
+    assert np.array_equal(got.F.view(np.uint32), want.F.view(np.uint32))
+    assert np.array_equal(got.W.view(np.uint32), want.W.view(np.uint32))

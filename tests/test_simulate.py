@@ -123,6 +123,34 @@ class TestSimulateScan:
         b, _ = simulate_scan(world, Pose2(0, 0, 0), model, scan_index=1)
         assert not np.array_equal(a.ranges, b.ranges)
 
+    def test_full_circle_has_no_duplicate_beam(self):
+        # At 360 degrees the last beam stops one step short of the first,
+        # at -pi, instead of repeating it at +pi.
+        model = SensorModel(beam_count=181, fov=math.radians(360.0))
+        scan, _ = simulate_scan(make_square_world(), Pose2(0.3, -0.2, 0.4), model)
+        angles = scan.beam_angles()
+        assert angles[0] == -math.pi
+        assert angles[-1] == pytest.approx(math.pi - 2.0 * math.pi / 181, abs=1e-12)
+        directions = np.column_stack((np.cos(angles), np.sin(angles)))
+        assert len(np.unique(np.round(directions, 9), axis=0)) == 181
+        points = scan_to_points(scan)
+        assert len(points) == 181
+        assert len(np.unique(np.round(points, 9), axis=0)) == 181
+
+    @pytest.mark.parametrize("sigma, rate", [(0.005, 0.0), (0.01, 0.05)])
+    def test_partial_fov_keeps_its_end_beams(self, sigma, rate):
+        # Below a full circle the beams still run from -fov/2 to +fov/2 in
+        # fov / (beams - 1) steps, so 270-degree logs keep their bytes.
+        world, script, model, scan_rate = rectangle_circuit(
+            noise_sigma=sigma, outlier_rate=rate, seed=7, scans=400)
+        fov = math.radians(270.0)
+        assert (model.beam_count, model.fov) == (271, fov)
+        for record in run_scenario(world, script, model, scan_rate)[:3]:
+            scan = record.scan
+            assert scan.angle_min == -0.5 * fov
+            assert scan.angle_increment == fov / 270
+            assert scan.beam_angles()[-1] == pytest.approx(0.5 * fov, abs=1e-12)
+
     def test_backprojection_on_segments(self):
         world = make_square_world()
         model = SensorModel(seed=1)
