@@ -84,10 +84,14 @@ def _parse_record(tokens: list[str], line_no: int) -> ScanLogRecord:
     if len(tokens) < 6:
         raise ParseError(line_no, "record too short")
     try:
-        ts, angle_min, inc, rmin, rmax = (float(t) for t in tokens[:5])
+        ts, angle_min, inc, rmin, rmax = header = [float(t) for t in tokens[:5]]
         count = int(tokens[5])
     except ValueError as exc:
         raise ParseError(line_no, f"bad header field: {exc}") from None
+    names = ("timestamp", "angle_min", "angle_increment", "range_min", "range_max")
+    for name, value in zip(names, header):
+        if not np.isfinite(value):
+            raise ParseError(line_no, f"non-finite {name}: {value}")
     if count < 0:
         raise ParseError(line_no, "negative range count")
     if len(tokens) < 6 + count:
@@ -98,27 +102,21 @@ def _parse_record(tokens: list[str], line_no: int) -> ScanLogRecord:
         raise ParseError(line_no, f"bad range value: {exc}") from None
 
     rest = tokens[6 + count:]
-    gt = odom = None
+    poses = {}
     while rest:
         tag = rest[0]
         if tag not in ("gt", "odom") or len(rest) < 4:
             raise ParseError(line_no, f"unexpected trailing token {tag!r}")
+        if tag in poses:
+            raise ParseError(line_no, f"duplicate {tag} pose")
         try:
-            pose = Pose2(float(rest[1]), float(rest[2]), float(rest[3]))
+            poses[tag] = Pose2(float(rest[1]), float(rest[2]), float(rest[3]))
         except ValueError as exc:
             raise ParseError(line_no, f"bad {tag} pose: {exc}") from None
-        if tag == "gt":
-            if gt is not None:
-                raise ParseError(line_no, "duplicate gt pose")
-            gt = pose
-        else:
-            if odom is not None:
-                raise ParseError(line_no, "duplicate odom pose")
-            odom = pose
         rest = rest[4:]
 
     scan = LaserScan(angle_min, inc, ranges, rmin, rmax)
-    return ScanLogRecord(timestamp=ts, scan=scan, gt=gt, odom=odom)
+    return ScanLogRecord(timestamp=ts, scan=scan, **poses)
 
 
 def parse_scan_log(source) -> list[ScanLogRecord]:
@@ -169,6 +167,9 @@ def load_map(path) -> SdfGrid:
     expected = _HEADER.size + 2 * 4 * n
     if len(data) != expected:
         raise FormatError(f"expected {expected} bytes, found {len(data)}")
+    for name, value in (("truncation", trunc), ("w_max", w_max)):
+        if not value > 0:  # NaN fails too
+            raise FormatError(f"{name} must be positive, got {value}")
     F = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size)
     W = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size + 4 * n)
     geom = GridGeometry(ox, oy, res, int(width), int(height))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .geometry import IDENTITY, Pose2, compose, inverse
-from .mapping import ExpansionPolicy
 from .matching import MatchConfig, SingularHessian, TooFewPoints, match_two_stage, predict_pose
 from .submaps import SubmapCollection
 
@@ -26,20 +25,14 @@ class SlamParams:
     resolution: float = SubmapCollection.resolution
     truncation: float = SubmapCollection.truncation
     w_max: float = SubmapCollection.w_max
-    max_expansions: int | None = None  # None selects by resolution
+    max_expansions: int | None = SubmapCollection.max_expansions
     submap_scans: int = SubmapCollection.scans_per_submap
     submap_cells: int = SubmapCollection.cells
     match: MatchConfig = field(default_factory=MatchConfig)
 
     def __post_init__(self):
         # Bad settings fail here, before any scan is read.
-        self.expansion_policy()
         self.collection()
-
-    def expansion_policy(self) -> ExpansionPolicy:
-        if self.max_expansions is None:
-            return ExpansionPolicy.for_resolution(self.resolution)
-        return ExpansionPolicy(self.max_expansions)
 
     def collection(self) -> SubmapCollection:
         """An empty submap window with these settings; it starts no worker."""
@@ -49,6 +42,7 @@ class SlamParams:
             resolution=self.resolution,
             truncation=self.truncation,
             w_max=self.w_max,
+            max_expansions=self.max_expansions,
         )
 
 
@@ -67,7 +61,6 @@ def run_slam(records, params: SlamParams | None = None) -> SlamResult:
     """
     if params is None:
         params = SlamParams()
-    policy = params.expansion_policy()
     collection = params.collection()
 
     trajectory: list[tuple[float, Pose2]] = []
@@ -87,7 +80,7 @@ def run_slam(records, params: SlamParams | None = None) -> SlamResult:
                 except (SingularHessian, TooFewPoints):
                     failures += 1
                     pose = init
-            collection.add_scan(scan, pose, policy)
+            collection.add_scan(scan, pose)
             trajectory.append((record.timestamp, pose))
         collection.finish_all()
     return SlamResult(trajectory=trajectory, collection=collection,

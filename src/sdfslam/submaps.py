@@ -7,8 +7,8 @@ so its grid lives in a worker process that the collection starts with the
 first such submap. The collection sends each scan there before inserting
 it into the target, so the two inserts run side by side, and takes the
 grid back when the submap becomes the target or is finished. The worker
-runs the same ``Submap.insert``, so the grids are the same bytes either
-way.
+learns the expansion policy with each submap's grid shape and runs the
+same ``Submap.insert``, so the grids are the same bytes either way.
 
 Finished submaps are later merged into a single grid by resampling each
 submap at the merged cell centers near its known cells (bicubic) and
@@ -98,10 +98,10 @@ def _serve():
         except EOFError:
             return
         if op == "spawn":
-            anchor, shape = args
+            anchor, shape, policy = args  # one collection, so one policy, per worker
             held[sid] = Submap(grid=_centered_grid(*shape), pose=anchor, id=sid)
         elif op == "insert":
-            held[sid].insert(*args)
+            held[sid].insert(*args, policy)
         else:  # "give"
             pickle.dump(held.pop(sid).grid, outbox, pickle.HIGHEST_PROTOCOL)
             outbox.flush()
@@ -123,14 +123,15 @@ class SubmapCollection:
     received half its budget, and a submap is finished when it reaches
     ``scans_per_submap`` scans; every scan therefore lands in one or two
     submaps and the matching target always carries at least half a budget
-    of data.
+    of data. Every submap is built with ``policy``, the ring budget derived
+    once from ``max_expansions``, or from the resolution when that is None.
 
     The younger of two live submaps is integrated in a worker process,
-    started with the first such submap, and its ``grid`` is None until the
-    collection takes it back: when it becomes the matching target, or in
-    :meth:`finish_all`. ``finish_all`` stops the worker; ``close()``, or
-    using the collection as a context manager, stops it on any other way
-    out.
+    started with the first such submap, which learns the policy once per
+    submap. Its ``grid`` is None until the collection takes it back: when it
+    becomes the matching target, or in :meth:`finish_all`. ``finish_all``
+    stops the worker; ``close()``, or using the collection as a context
+    manager, stops it on any other way out.
     """
 
     scans_per_submap: int = 50
@@ -141,7 +142,9 @@ class SubmapCollection:
     resolution: float = 0.05
     truncation: float = 0.06
     w_max: float = 10.0
+    max_expansions: int | None = None  # None selects by resolution
     submaps: list[Submap] = field(default_factory=list)
+    policy: ExpansionPolicy = field(init=False)
     _worker: subprocess.Popen | None = field(default=None, init=False, repr=False)
     _stop: weakref.finalize | None = field(default=None, init=False, repr=False)
 
@@ -155,6 +158,9 @@ class SubmapCollection:
         for name in ("resolution", "truncation", "w_max"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
+        self.policy = (ExpansionPolicy.for_resolution(self.resolution)
+                       if self.max_expansions is None
+                       else ExpansionPolicy(self.max_expansions))
 
     def unfinished(self) -> list[Submap]:
         return [s for s in self.submaps if not s.finished]
@@ -170,22 +176,22 @@ class SubmapCollection:
         sm = Submap(grid=None, pose=anchor, id=len(self.submaps))
         shape = (self.cells, self.resolution, self.truncation, self.w_max)
         if self.unfinished():
-            self._send("spawn", sm.id, anchor, shape)
+            self._send("spawn", sm.id, anchor, shape, self.policy)
         else:
             sm.grid = _centered_grid(*shape)
         self.submaps.append(sm)
 
-    def add_scan(self, scan, world_pose: Pose2, policy: ExpansionPolicy):
+    def add_scan(self, scan, world_pose: Pose2):
         """Insert a matched scan into every unfinished submap and roll the window."""
         if not self.submaps:
             self._spawn(world_pose)
         # Younger first, so the worker's insert overlaps the target's.
         for sm in reversed(self.unfinished()):
             if sm.grid is None:
-                self._send("insert", sm.id, scan, world_pose, policy)
+                self._send("insert", sm.id, scan, world_pose)
                 sm.scan_count += 1
             else:
-                sm.insert(scan, world_pose, policy)
+                sm.insert(scan, world_pose, self.policy)
 
         active = self.unfinished()
         if active and active[0].scan_count >= self.scans_per_submap:

@@ -62,6 +62,12 @@ class TestScanLog:
         ("0.3 -1.0 0.1 0.05", "record too short"),
         ("0.3 -1.0 0.1 0.05 10.0 2 1.0 far", "bad range value"),
         ("0.3 -1.0 0.1 0.05 10.0 1 1.0 gt 0 0 0 gt 1 1 1", "duplicate gt pose"),
+        ("0.3 -1.0 0.1 0.05 10.0 1 1.0 odom 0 0 0 odom 1 1 1", "duplicate odom pose"),
+        ("nan -1.0 0.1 0.05 10.0 1 1.0", "non-finite timestamp"),
+        ("0.3 inf 0.1 0.05 10.0 1 1.0", "non-finite angle_min"),
+        ("0.3 -1.0 nan 0.05 10.0 1 1.0", "non-finite angle_increment"),
+        ("0.3 -1.0 0.1 -inf 10.0 1 1.0", "non-finite range_min"),
+        ("0.3 -1.0 0.1 0.05 inf 1 1.0", "non-finite range_max"),
     ])
     def test_parse_error_names_the_line(self, bad, reason):
         good = logio.format_record(_record(0.1, [1.0, 2.0]))
@@ -103,6 +109,19 @@ class TestMapFile:
         data[4:8] = struct.pack("<I", logio.MAP_VERSION + 1)
         path.write_bytes(bytes(data))
         with pytest.raises(VersionError):
+            logio.load_map(path)
+
+
+    @pytest.mark.parametrize("field, offset", [("truncation", 48), ("w_max", 56)])
+    @pytest.mark.parametrize("value", [0.0, -0.06, math.nan])
+    def test_unworkable_setting(self, tmp_path, field, offset, value):
+        # The header ends with the truncation and the weight cap, as doubles.
+        path = tmp_path / "m.sdf2"
+        logio.save_map(_grid(), path)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"^{field} must be positive"):
             logio.load_map(path)
 
 

@@ -12,7 +12,7 @@ from sdfslam.geometry import (
     scan_to_points,
     transform_points,
 )
-from sdfslam.mapping import ExpansionPolicy, SdfGrid
+from sdfslam.mapping import SdfGrid
 from sdfslam.matching import (
     MatchConfig,
     MatchResult,
@@ -236,7 +236,7 @@ def _young_submap_case():
     for k, pose in enumerate([Pose2(0.0, 0.0, 0.0), Pose2(0.1, 0.05, 0.2),
                               Pose2(0.2, 0.1, 0.4)]):
         scan, _ = simulate_scan(world, pose, model, scan_index=k)
-        coll.add_scan(scan, pose, ExpansionPolicy.for_resolution(coll.resolution))
+        coll.add_scan(scan, pose)
     target = coll.matching_target()
     scan, _ = simulate_scan(world, Pose2(0.3, 0.15, 0.6), model, scan_index=3)
     return target.grid, scan, compose(inverse(target.pose), Pose2(0.3, 0.15, 0.6))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import sdfslam
 from sdfslam.evaluate import evaluate_trajectory
 from sdfslam.geometry import compose, inverse
-from sdfslam.mapping import SdfGrid, integrate_scan
+from sdfslam.mapping import ExpansionPolicy, SdfGrid, integrate_scan
 from sdfslam.simulate import rectangle_circuit, run_scenario
 from sdfslam.slam import SlamParams, run_slam
 from sdfslam.submaps import SubmapWorkerError, merge_submaps
@@ -71,7 +72,8 @@ class TestWorker:
 
     def test_grids_equal_an_in_process_integration(self, lap):
         records, result = lap
-        policy = PARAMS.expansion_policy()
+        policy = result.collection.policy
+        assert policy == ExpansionPolicy(3)  # selected by the 5 cm resolution
         poses = [p for _, p in result.trajectory]
         subs = result.collection.submaps
         assert len(subs) == 5
@@ -81,12 +83,23 @@ class TestWorker:
             first = 25 * sm.id
             assert sm.pose == poses[max(first - 1, 0)]
             assert sm.scan_count == min(PARAMS.submap_scans, FRAMES - first)
-            grid = SdfGrid.unknown(sm.grid.geometry, sm.grid.truncation, sm.grid.w_max)
-            for k in range(first, first + sm.scan_count):
-                local = compose(inverse(sm.pose), poses[k])
-                integrate_scan(grid, records[k].scan, local, policy)
-            assert grid.F.tobytes() == sm.grid.F.tobytes(), sm.id
-            assert grid.W.tobytes() == sm.grid.W.tobytes(), sm.id
+            assert _same_grid(_integrated(sm, records, poses, policy), sm.grid), sm.id
+
+    def test_worker_builds_with_the_collection_policy(self, lap, started_processes):
+        # Submap 2 lives in the worker from its first scan to the last, and
+        # submap 1 takes its first 25 scans there.
+        records, _ = lap
+        result = run_slam(records[:60], replace(PARAMS, max_expansions=1))
+        assert result.match_failures == 0
+        assert len(started_processes) == 1
+        poses = [p for _, p in result.trajectory]
+        subs = result.collection.submaps
+        assert [sm.scan_count for sm in subs] == [50, 35, 10]
+        for sm in subs:
+            built = _integrated(sm, records, poses, ExpansionPolicy(1))
+            assert _same_grid(built, sm.grid), sm.id
+            other = _integrated(sm, records, poses, ExpansionPolicy(3))
+            assert not _same_grid(other, sm.grid), sm.id
 
     @pytest.mark.parametrize("frames,workers", [(24, 0), (60, 1)])
     def test_no_worker_outlives_a_run(self, lap, started_processes, frames, workers):
@@ -153,6 +166,18 @@ class TestWorker:
         # Poses depend only on earlier frames, so the lap's first 60 match.
         _, result = lap
         assert proc.stdout.splitlines() == [repr(p) for _, p in result.trajectory[:60]]
+
+
+def _integrated(sm, records, poses, policy):
+    """``sm``'s scans, from scan 25 * id on, integrated here into a fresh grid."""
+    grid = SdfGrid.unknown(sm.grid.geometry, sm.grid.truncation, sm.grid.w_max)
+    for k in range(25 * sm.id, 25 * sm.id + sm.scan_count):
+        integrate_scan(grid, records[k].scan, compose(inverse(sm.pose), poses[k]), policy)
+    return grid
+
+
+def _same_grid(a, b):
+    return a.F.tobytes() == b.F.tobytes() and a.W.tobytes() == b.W.tobytes()
 
 
 def _raised(fn, *args):

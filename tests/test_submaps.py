@@ -52,7 +52,7 @@ class TestLifecycle:
 
     def test_first_scan_creates_submap(self):
         coll = SubmapCollection(scans_per_submap=50)
-        coll.add_scan(self._scan(), Pose2(0, 0, 0), ExpansionPolicy(3))
+        coll.add_scan(self._scan(), Pose2(0, 0, 0))
         assert len(coll.submaps) == 1
         assert coll.submaps[0].scan_count == 1
         assert coll.submaps[0].grid.W.max() > 0
@@ -62,6 +62,7 @@ class TestLifecycle:
         {"truncation": 0.0}, {"truncation": float("nan")},
         {"w_max": 0.0}, {"w_max": -1.0}, {"w_max": float("nan")},
         {"resolution": 0.0}, {"resolution": float("nan")},
+        {"max_expansions": -1},
     ])
     def test_rejects_unworkable_settings(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
@@ -70,10 +71,9 @@ class TestLifecycle:
     def test_window_trace(self):
         n = 10
         coll = SubmapCollection(scans_per_submap=n, cells=60)
-        policy = ExpansionPolicy(3)
         counts = []
         for k in range(3 * n + 1):
-            coll.add_scan(self._scan(k), Pose2(0, 0, 0), policy)
+            coll.add_scan(self._scan(k), Pose2(0, 0, 0))
             counts.append([s.scan_count for s in coll.submaps])
 
         # First submap finished once it has n scans; second is active then.
@@ -90,19 +90,17 @@ class TestLifecycle:
     def test_matching_target_always_populated(self):
         n = 8
         coll = SubmapCollection(scans_per_submap=n, cells=60)
-        policy = ExpansionPolicy(3)
-        coll.add_scan(self._scan(0), Pose2(0, 0, 0), policy)
+        coll.add_scan(self._scan(0), Pose2(0, 0, 0))
         for k in range(1, 40):
             target = coll.matching_target()
             assert target is not None
             assert target.scan_count >= min(k, math.ceil(n / 2))
-            coll.add_scan(self._scan(k), Pose2(0, 0, 0), policy)
+            coll.add_scan(self._scan(k), Pose2(0, 0, 0))
 
     def test_unfinished_cap(self):
         coll = SubmapCollection(scans_per_submap=6, cells=60)
-        policy = ExpansionPolicy(3)
         for k in range(30):
-            coll.add_scan(self._scan(k), Pose2(0, 0, 0), policy)
+            coll.add_scan(self._scan(k), Pose2(0, 0, 0))
             assert len(coll.unfinished()) <= 2
 
     def test_insert_into_finished_rejected(self):
@@ -111,15 +109,14 @@ class TestLifecycle:
             sm.insert(self._scan(), Pose2(0, 0, 0), ExpansionPolicy(3))
 
     def test_younger_submap_lives_in_the_worker(self, started_processes):
-        policy = ExpansionPolicy(3)
         with SubmapCollection(scans_per_submap=4, cells=100) as coll:
             for k in range(2):
-                coll.add_scan(self._scan(k), Pose2(0, 0, 0), policy)
+                coll.add_scan(self._scan(k), Pose2(0, 0, 0))
             young = coll.submaps[1]
             assert young.scan_count == 0 and young.grid is None
             assert len(started_processes) == 1
             for k in range(2, 4):
-                coll.add_scan(self._scan(k), Pose2(0, 0, 0), policy)
+                coll.add_scan(self._scan(k), Pose2(0, 0, 0))
             # The target finished; its successor is back in this process.
             assert coll.submaps[0].finished
             assert coll.matching_target() is young
@@ -130,16 +127,15 @@ class TestLifecycle:
     def test_dropped_collection_stops_its_worker(self, started_processes):
         coll = SubmapCollection(scans_per_submap=4, cells=60)
         for k in range(3):
-            coll.add_scan(self._scan(k), Pose2(0, 0, 0), ExpansionPolicy(3))
+            coll.add_scan(self._scan(k), Pose2(0, 0, 0))
         del coll
         gc.collect()
         assert started_processes[0].returncode is not None
 
     def test_finish_all_drops_empty(self):
         coll = SubmapCollection(scans_per_submap=4, cells=60)
-        policy = ExpansionPolicy(3)
         for k in range(6):
-            coll.add_scan(self._scan(k), Pose2(0, 0, 0), policy)
+            coll.add_scan(self._scan(k), Pose2(0, 0, 0))
         coll.finish_all()
         assert all(s.finished for s in coll.submaps)
         assert all(s.scan_count > 0 for s in coll.submaps)
@@ -561,7 +557,7 @@ class TestYoungSubmap:
         world = make_square_world()
         scan, _ = simulate_scan(world, truth, SensorModel(seed=70))
         coll = SubmapCollection()
-        coll.add_scan(scan, truth, ExpansionPolicy.for_resolution(coll.resolution))
+        coll.add_scan(scan, truth)
         target = coll.matching_target()
         r = match_two_stage(target.grid, scan, compose(inverse(target.pose), truth))
         err = compose(target.pose, r.pose)
@@ -585,9 +581,8 @@ class TestLocalizationFloor:
         records = run_scenario(*rectangle_circuit(seed=7))[:self.FRAMES]
         to_map = inverse(records[0].gt)
         coll = SubmapCollection(cells=200)
-        policy = ExpansionPolicy.for_resolution(coll.resolution)
         for r in records:
-            coll.add_scan(r.scan, compose(to_map, r.gt), policy)
+            coll.add_scan(r.scan, compose(to_map, r.gt))
         coll.finish_all()
         merged = merge_submaps(coll.submaps)
 
