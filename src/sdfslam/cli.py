@@ -57,18 +57,6 @@ def _add_map_flags(p: argparse.ArgumentParser):
                    help="neighbor-ring budget (default: by resolution)")
 
 
-def _add_match_flags(p: argparse.ArgumentParser):
-    p.add_argument("--trim", dest="trim_threshold", type=float,
-                   default=MatchConfig.trim_threshold,
-                   help="stage-2 trim threshold, meters (default: truncation)")
-    p.add_argument("--huber-delta", type=float, default=MatchConfig.huber_delta,
-                   help="Huber scale on the distance residual, meters "
-                        "(default: truncation/6)")
-    p.add_argument("--eps", dest="convergence_eps", type=float,
-                   default=MatchConfig.convergence_eps,
-                   help="relative cost-change convergence threshold")
-
-
 def _from_flags(cls, args, **given):
     """``cls`` built from ``given`` and from every flag whose dest names a field.
 
@@ -125,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=MatchConfig.max_iters_stage1, help="stage-1 iteration cap")
     p.add_argument("--iters2", dest="max_iters_stage2", type=int,
                    default=MatchConfig.max_iters_stage2, help="stage-2 iteration cap")
-    _add_match_flags(p)
     p.add_argument("--submap-scans", type=int, default=SlamParams.submap_scans,
                    help="scans per submap before it is finished")
     p.add_argument("--submap-cells", type=int, default=SlamParams.submap_cells,
@@ -147,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="initial pose in the map frame, whose origin is the "
                         "first SLAM pose (default: the origin)")
-    _add_match_flags(p)
-    p.set_defaults(flag_names=_flag_names(p))
 
     p = sub.add_parser("eval", help="RMSE between two trajectory files")
     p.add_argument("--est", required=True, type=Path)
@@ -219,7 +204,6 @@ def cmd_merge(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    cfg = _checked(lambda ns: _from_flags(MatchConfig, ns), args)
     grid = logio.load_map(args.map)
     merged = MergedMap(grid=grid, provenance=[])
     records = logio.parse_scan_log(args.log)
@@ -236,7 +220,7 @@ def cmd_localize(args) -> int:
             trajectory, target_time=record.timestamp)
         start = time.perf_counter()
         try:
-            pose = pure_localize(merged, record.scan, init, args.loc_iters, cfg).pose
+            pose = pure_localize(merged, record.scan, init, args.loc_iters).pose
         except (SingularHessian, TooFewPoints):
             # As in run_slam: keep the prediction and count the frame.
             failures += 1

@@ -124,8 +124,11 @@ class GridGeometry:
     height: int
 
     def __post_init__(self):
-        if not self.resolution > 0:  # NaN fails too
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:  # NaN fails too
+            raise ValueError("resolution must be positive and finite")
+        for name in ("origin_x", "origin_y"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.width < 1 or self.height < 1:
             raise ValueError("grid must have at least one cell")
 

@@ -13,6 +13,7 @@ a save is bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -168,11 +169,14 @@ def load_map(path) -> SdfGrid:
     if len(data) != expected:
         raise FormatError(f"expected {expected} bytes, found {len(data)}")
     for name, value in (("truncation", trunc), ("w_max", w_max)):
-        if not value > 0:  # NaN fails too
-            raise FormatError(f"{name} must be positive, got {value}")
+        if not 0 < value < math.inf:  # NaN fails too
+            raise FormatError(f"{name} must be positive and finite, got {value}")
+    try:
+        geom = GridGeometry(ox, oy, res, int(width), int(height))
+    except ValueError as exc:  # its message names the field
+        raise FormatError(str(exc)) from None
     F = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size)
     W = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size + 4 * n)
-    geom = GridGeometry(ox, oy, res, int(width), int(height))
     return SdfGrid(
         geometry=geom, truncation=trunc, w_max=w_max,
         F=F.reshape(height, width).copy(),

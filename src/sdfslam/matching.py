@@ -6,13 +6,16 @@ confidence. The cost of a pose is
 
     sum over supported points of (W / w_max) * huber(F, delta)
 
-with one Huber scale ``delta`` in metres. A point is supported when it lies
-inside the grid interior and all four of its surrounding nodes are known
-(W > 0); any other point gives no residual and no cost, the same as a
+with the Huber scale ``delta``, in metres. A point is supported when it
+lies inside the grid interior and all four of its surrounding nodes are
+known (W > 0); any other point gives no residual and no cost, the same as a
 trimmed point, so the edge of observed space neither pulls nor pushes.
 Minimization uses Gauss-Newton with Huber reweighting (IRLS); a second stage
 re-runs the optimization after trimming the points whose distance value lies
 outside the truncation band, which removes most range outliers.
+:func:`match_two_stage` reads the band and ``delta`` (a sixth of the band)
+off the grid being matched, with no override; its only settings are the
+iteration caps of :class:`MatchConfig`.
 
 A match samples the grid once at each pose it visits. Trimming reads stage
 one's sample at its best pose, and stage two starts from the kept points of
@@ -23,7 +26,7 @@ a sample is the sample of the subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from . import kernels
 _EIG_RATIO_MIN = 1e-10
 _DAMPING = 1e-6
 _EYE3 = np.eye(3)
+_CONVERGENCE_EPS = 1e-6  # relative cost change that ends a stage
 
 
 class SingularHessian(RuntimeError):
@@ -46,41 +50,15 @@ class TooFewPoints(RuntimeError):
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Optimizer settings.
-
-    Both distances are in metres, and None takes them from the grid being
-    matched. The trim threshold then is the map truncation distance (6cm,
-    the systematic error class of the supported scanners). The Huber scale
-    applies to the residual F and then is a sixth of the truncation (1cm):
-    well-matched points sit far below it, while points near corners, where
-    a cell's line fit mixes two walls, fall into the linear part of the
-    loss. :meth:`for_grid` is the one place that derives these distances
-    from a grid.
-    """
+    """Iteration caps of the two stages of :func:`match_two_stage`."""
 
     max_iters_stage1: int = 10
     max_iters_stage2: int = 20
-    trim_threshold: float | None = None
-    huber_delta: float | None = None
-    convergence_eps: float = 1e-6
 
     def __post_init__(self):
-        for name in ("max_iters_stage1", "max_iters_stage2", "trim_threshold",
-                     "huber_delta", "convergence_eps"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:  # NaN fails too
+        for name in ("max_iters_stage1", "max_iters_stage2"):
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
-
-    @classmethod
-    def for_grid(cls, grid: SdfGrid, cfg: MatchConfig) -> MatchConfig:
-        """``cfg`` with its unset distances taken from ``grid``."""
-        return replace(
-            cfg,
-            trim_threshold=(grid.truncation if cfg.trim_threshold is None
-                            else cfg.trim_threshold),
-            huber_delta=(grid.truncation / 6.0 if cfg.huber_delta is None
-                         else cfg.huber_delta),
-        )
 
 
 @dataclass(frozen=True)
@@ -168,9 +146,9 @@ def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int,
     consecutive iterations falls below ``convergence_eps``. The best iterate
     is tracked, so the returned pose never costs more than ``init``, and the
     result carries its sample. Every setting comes from the caller;
-    :func:`match_two_stage` takes the ones a grid implies from
-    :meth:`MatchConfig.for_grid`. ``first``, when given, is the sample of
-    ``scan_points`` at ``init``, which then is not sampled again.
+    :func:`match_two_stage` takes the distances from the grid. ``first``,
+    when given, is the sample of ``scan_points`` at ``init``, which then is
+    not sampled again.
     """
     pts = np.asarray(scan_points, dtype=np.float64).reshape(-1, 2)
     if len(pts) == 0:
@@ -230,8 +208,9 @@ def trim_points(grid: SdfGrid, pts: np.ndarray, pose: Pose2, threshold: float,
     four surrounding nodes known), and its distance F lies strictly inside
     the threshold band, so every kept point carries a residual. The
     comparison runs at the grid's native float32 grain so that saturated
-    cells trim at the default threshold (the truncation distance). A given
-    ``sample`` of ``pts`` at ``pose`` is read instead of sampling again.
+    cells trim at the truncation distance, :func:`match_two_stage`'s
+    threshold. A given ``sample`` of ``pts`` at ``pose`` is read instead of
+    sampling again.
     """
     if sample is None:
         sample = _sample(grid, transform_points(pose, pts))
@@ -245,26 +224,30 @@ def match_two_stage(grid: SdfGrid, scan, init: Pose2,
 
     Stage one estimates a pose from every valid point. Stage two discards
     the points whose distance value at the stage-one pose lies outside the
-    trim threshold and re-optimizes on the survivors, which removes the
-    influence of range outliers that landed inside the truncation band.
-    Each pose visited is sampled once: the trim reads stage one's sample at
-    its best pose, and stage two starts from the kept part of it. Distances
-    ``cfg`` leaves unset are taken from ``grid``.
+    truncation band and re-optimizes on the survivors, which removes the
+    influence of range outliers that landed inside the band. Each pose
+    visited is sampled once: the trim reads stage one's sample at its best
+    pose, and stage two starts from the kept part of it. ``cfg`` sets only
+    the iteration caps; both distances come from ``grid``.
     """
-    cfg = MatchConfig.for_grid(grid, cfg)
+    # The trim band is the truncation (6cm, the systematic error class of
+    # the supported scanners). The Huber scale is a sixth of it (1cm):
+    # well-matched points sit far below it, while points near corners, where
+    # a cell's line fit mixes two walls, fall into the linear part of the loss.
+    delta = grid.truncation / 6.0
     pts = scan_to_points(scan)
     n_valid = len(pts)
 
     stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1,
-                          cfg.convergence_eps, cfg.huber_delta)
+                          _CONVERGENCE_EPS, delta)
 
-    keep = trim_points(grid, pts, stage1.pose, cfg.trim_threshold, stage1.sample)
+    keep = trim_points(grid, pts, stage1.pose, grid.truncation, stage1.sample)
     n_keep = int(keep.sum())
     if n_keep < 10:
         raise TooFewPoints(f"only {n_keep} of {n_valid} points survived trimming")
 
     stage2 = gauss_newton(grid, pts[keep], stage1.pose, cfg.max_iters_stage2,
-                          cfg.convergence_eps, cfg.huber_delta,
+                          _CONVERGENCE_EPS, delta,
                           first=tuple(a[keep] for a in stage1.sample))
     return MatchResult(
         pose=stage2.pose,

@@ -26,7 +26,7 @@ import signal
 import subprocess
 import sys
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,8 +156,8 @@ class SubmapCollection:
         if self.cells < 2:
             raise ValueError("cells must be at least 2")
         for name in ("resolution", "truncation", "w_max"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         self.policy = (ExpansionPolicy.for_resolution(self.resolution)
                        if self.max_expansions is None
                        else ExpansionPolicy(self.max_expansions))
@@ -370,13 +370,11 @@ def merge_submaps(submaps) -> MergedMap:
     return MergedMap(grid=merged, provenance=[sm.id for sm in submaps])
 
 
-def pure_localize(merged: MergedMap, scan, init: Pose2, iters: int = 5,
-                  cfg: MatchConfig = MatchConfig()) -> MatchResult:
+def pure_localize(merged: MergedMap, scan, init: Pose2, iters: int = 5) -> MatchResult:
     """Register a scan against the merged map; never mutates it.
 
-    Both optimization stages are capped at ``iters`` iterations, whatever
-    ``cfg`` carries; a handful suffices because the map is fixed and the
-    initial pose is close.
+    Both optimization stages are capped at ``iters`` iterations; a handful
+    suffices because the map is fixed and the initial pose is close. The
+    trim band and Huber scale come from the map, as in every match.
     """
-    cfg = replace(cfg, max_iters_stage1=iters, max_iters_stage2=iters)
-    return match_two_stage(merged.grid, scan, init, cfg)
+    return match_two_stage(merged.grid, scan, init, MatchConfig(iters, iters))

@@ -175,17 +175,10 @@ class TestUsage:
                 "--out", tmp_path / "o.txt", "--iters1", 3)
         assert exc.value.code == 2
 
-    def test_nan_setting_stops_with_a_diagnostic(self, tmp_path):
-        # The settings are checked before any file is read.
-        code, text = run("localize", "--map", tmp_path / "m.sdf2", "--log",
-                         tmp_path / "l.txt", "--out", tmp_path / "o.txt", "--trim", "nan")
-        assert code == 1
-        assert "trim_threshold must be positive" in text
-        assert not (tmp_path / "o.txt").exists()
-
     @pytest.mark.parametrize("flag, value, message", [
         ("--iters1", 0, "max_iters_stage1 must be positive"),
         ("--max-expansions", -1, "max_expansions must be >= 0"),
+        ("--w-max", "inf", "w_max must be positive and finite"),
     ])
     def test_bad_slam_flag_stops_with_its_name(self, tmp_path, flag, value, message):
         # Checked before the log is read: the log does not exist.

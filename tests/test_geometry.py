@@ -139,6 +139,12 @@ class TestGridGeometry:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             GridGeometry(0, 0, 0.0, 5, 5)
+        with pytest.raises(ValueError, match="resolution"):
+            GridGeometry(0, 0, math.inf, 5, 5)
+        with pytest.raises(ValueError, match="origin_x"):
+            GridGeometry(math.nan, 0, 0.05, 5, 5)
+        with pytest.raises(ValueError, match="origin_y"):
+            GridGeometry(0, -math.inf, 0.05, 5, 5)
         with pytest.raises(ValueError):
             GridGeometry(0, 0, 0.05, 0, 5)
 

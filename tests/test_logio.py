@@ -113,7 +113,7 @@ class TestMapFile:
 
 
     @pytest.mark.parametrize("field, offset", [("truncation", 48), ("w_max", 56)])
-    @pytest.mark.parametrize("value", [0.0, -0.06, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -0.06, math.nan, math.inf])
     def test_unworkable_setting(self, tmp_path, field, offset, value):
         # The header ends with the truncation and the weight cap, as doubles.
         path = tmp_path / "m.sdf2"
@@ -122,6 +122,19 @@ class TestMapFile:
         data[offset:offset + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"^{field} must be positive"):
+            logio.load_map(path)
+
+    @pytest.mark.parametrize("field, offset, value", [
+        ("origin_x", 8, math.nan), ("origin_y", 16, -math.inf), ("resolution", 24, math.inf),
+    ])
+    def test_unworkable_geometry(self, tmp_path, field, offset, value):
+        # The header's geometry doubles follow the magic and the version.
+        path = tmp_path / "m.sdf2"
+        logio.save_map(_grid(), path)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"^{field} must be"):
             logio.load_map(path)
 
 

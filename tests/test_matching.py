@@ -39,8 +39,7 @@ def _uniform_grid(value=0.02, weight=4.0, n=30):
 
 
 class TestMatchConfig:
-    @pytest.mark.parametrize("name", ["max_iters_stage1", "trim_threshold",
-                                      "huber_delta", "convergence_eps"])
+    @pytest.mark.parametrize("name", ["max_iters_stage1", "max_iters_stage2"])
     @pytest.mark.parametrize("value", [0, -1.0, math.nan])
     def test_rejects_non_positive_and_nan(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -315,14 +314,13 @@ class TestMatchTwoStage:
         # points of a new scan sit next to unknown nodes. Such a point has
         # no residual, so the trim must not count it as used.
         grid, scan, init = _young_submap_case()
-        cfg = MatchConfig.for_grid(grid, MatchConfig())
+        delta = grid.truncation / 6.0
         pts = scan_to_points(scan)
 
-        stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1,
-                              cfg.convergence_eps, cfg.huber_delta)
-        keep = trim_points(grid, pts, stage1.pose, cfg.trim_threshold)
-        _, residuals = cost(grid, pts[keep], stage1.pose, cfg.huber_delta)
-        result = match_two_stage(grid, scan, init, cfg)
+        stage1 = gauss_newton(grid, pts, init, MatchConfig.max_iters_stage1, 1e-6, delta)
+        keep = trim_points(grid, pts, stage1.pose, grid.truncation)
+        _, residuals = cost(grid, pts[keep], stage1.pose, delta)
+        result = match_two_stage(grid, scan, init)
         assert result.points_used == np.count_nonzero(np.isfinite(residuals))
         assert np.isfinite(residuals).all()
 
@@ -342,17 +340,17 @@ class TestMatchTwoStage:
         assert len(calls) == (result.iterations_stage1 + 1) + result.iterations_stage2
 
     def test_equals_public_stage_composition(self, match_case):
-        # Reusing the sample changes no bit of the result. Stage one's
-        # result carries the sample of its points at its best pose.
+        # Reusing the sample changes no bit of the result, and the match
+        # trims at the truncation with a Huber scale of a sixth of it. Stage
+        # one's result carries the sample of its points at its best pose.
         grid, scan, init = match_case
-        cfg = MatchConfig.for_grid(grid, MatchConfig())
+        cfg, delta = MatchConfig(), grid.truncation / 6.0
         pts = scan_to_points(scan)
-        stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1,
-                              cfg.convergence_eps, cfg.huber_delta)
-        keep = trim_points(grid, pts, stage1.pose, cfg.trim_threshold)
+        stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1, 1e-6, delta)
+        keep = trim_points(grid, pts, stage1.pose, grid.truncation)
         n_keep = int(keep.sum())
         stage2 = gauss_newton(grid, pts[keep], stage1.pose, cfg.max_iters_stage2,
-                              cfg.convergence_eps, cfg.huber_delta)
+                              1e-6, delta)
         expected = MatchResult(stage2.pose, stage2.final_cost, stage1.iterations_stage1,
                                stage2.iterations_stage1, n_keep, len(pts) - n_keep,
                                stage2.converged)

@@ -59,9 +59,9 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("setting", [
         {"scans_per_submap": 0}, {"scans_per_submap": 1},
-        {"truncation": 0.0}, {"truncation": float("nan")},
-        {"w_max": 0.0}, {"w_max": -1.0}, {"w_max": float("nan")},
-        {"resolution": 0.0}, {"resolution": float("nan")},
+        {"truncation": 0.0}, {"truncation": float("nan")}, {"truncation": math.inf},
+        {"w_max": 0.0}, {"w_max": -1.0}, {"w_max": float("nan")}, {"w_max": math.inf},
+        {"resolution": 0.0}, {"resolution": float("nan")}, {"resolution": math.inf},
         {"max_expansions": -1},
     ])
     def test_rejects_unworkable_settings(self, setting):
@@ -543,6 +543,18 @@ class TestPureLocalize:
             ys.append(r.pose.y)
         assert np.ptp(xs) < 0.01
         assert np.ptp(ys) < 0.01
+
+    def test_iters_caps_both_stages(self, merged_room):
+        merged, world_to_map = merged_room
+        truth_world = Pose2(0.1, -0.05, 0.2)
+        scan, _ = simulate_scan(make_square_world(), truth_world,
+                                SensorModel(noise_sigma=0.005, seed=70))
+        init = compose(world_to_map, compose(truth_world, Pose2(0.04, -0.03, 0.02)))
+        r = pure_localize(merged, scan, init, iters=2)
+        assert r.iterations_stage1 <= 2 and r.iterations_stage2 <= 2
+        assert r == match_two_stage(merged.grid, scan, init, MatchConfig(2, 2))
+        # The cap binds: left alone, stage one takes more steps.
+        assert match_two_stage(merged.grid, scan, init).iterations_stage1 > 2
 
 
 class TestYoungSubmap:
