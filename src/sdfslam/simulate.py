@@ -20,6 +20,7 @@ bytes whether it is simulated alone or inside a log.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -113,8 +114,12 @@ class SensorModel:
             raise ValueError("beam_count must be at least 1")
         if not 0.0 <= self.range_min < self.range_max:
             raise ValueError("range_min must be in [0, range_max)")
-        if not self.noise_sigma >= 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+        # A scan log cannot hold an infinite range_max, and infinite noise
+        # gives infinite ranges.
+        if not self.range_max < math.inf:
+            raise ValueError("range_max must be finite")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be non-negative and finite")
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ValueError("outlier_rate must be in [0, 1]")
         if self.outlier_mode not in ("discontinuity", "uniform"):
@@ -372,7 +377,7 @@ _SENSOR_KEYS = {
     "outlier_mode": ("outlier_mode", str), "seed": ("seed", int),
 }
 # Accepts any single valid range_min or range_max.
-_OPEN_RANGE = SensorModel(range_min=0.0, range_max=math.inf)
+_OPEN_RANGE = SensorModel(range_min=0.0, range_max=sys.float_info.max)
 # Numbers on each repeatable line.
 _LINE_NUMBERS = {"segment": 4, "dynamic": 6, "waypoint": 4}
 

@@ -8,7 +8,9 @@ first such submap. The collection sends each scan there before inserting
 it into the target, so the two inserts run side by side, and takes the
 grid back when the submap becomes the target or is finished. The worker
 learns the expansion policy with each submap's grid shape and runs the
-same ``Submap.insert``, so the grids are the same bytes either way.
+same ``Submap.insert``, so the grids are the same bytes either way. Its
+command line imports this module, so the package import sets the same heap
+policy there as in the parent, and its inserts reuse freed buffers too.
 
 Finished submaps are later merged into a single grid by resampling each
 submap at the merged cell centers near its known cells (bicubic) and

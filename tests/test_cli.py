@@ -188,11 +188,12 @@ class TestUsage:
         assert text == f"error: {flag}: {message}\n"
         assert not (tmp_path / "slam").exists()
 
-    def test_negative_noise_stops_with_a_diagnostic(self, tmp_path):
+    @pytest.mark.parametrize("sigma", [-0.05, "inf"])
+    def test_bad_noise_stops_with_a_diagnostic(self, tmp_path, sigma):
         code, text = run("simulate", "--scenario", "rectangle-circuit",
-                         "--out", tmp_path / "scans.log", "--noise-sigma", -0.05)
+                         "--out", tmp_path / "scans.log", "--noise-sigma", sigma)
         assert code == 1
-        assert "noise_sigma must be non-negative" in text
+        assert "noise_sigma must be non-negative and finite" in text
         assert not (tmp_path / "scans.log").exists()
 
     @pytest.mark.parametrize("scans", [1, 0, -3])

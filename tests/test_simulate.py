@@ -211,13 +211,17 @@ class TestSimulateScan:
 
     @pytest.mark.parametrize("setting", [
         {"noise_sigma": -0.05}, {"noise_sigma": float("nan")},
+        {"noise_sigma": float("inf")},
         {"beam_count": 0}, {"range_min": -0.1},
         {"range_min": 5.0, "range_max": 4.0}, {"range_min": 4.0, "range_max": 4.0},
-        {"range_max": float("nan")}, {"fov": float("nan")},
+        {"range_max": float("nan")}, {"range_max": float("inf")},
+        {"fov": float("nan")},
     ])
     def test_rejects_settings_that_simulate_something_else(self, setting):
-        # A negative or NaN sigma would give noise-free scans, and an empty
-        # range window or no beams would give scans with no valid reading.
+        # A negative or NaN sigma would give noise-free scans and an infinite
+        # one infinite ranges; an empty range window or no beams would give
+        # scans with no valid reading, and a scan log cannot hold an
+        # infinite range_max.
         with pytest.raises(ValueError, match=next(iter(setting))):
             SensorModel(**setting)
 
@@ -333,6 +337,8 @@ class TestRunScenario:
             (["segment = 0 0 1 0", "seed = 1", "outlier_rate = 2"], 3),
             (["segment = 0 0 1 0", "range_min = -1"], 2),
             (["segment = 0 0 1 0", "range_max = nan"], 2),
+            # A log cannot hold it, so slam would refuse the simulated log.
+            (["segment = 0 0 1 0", "range_max = inf"], 2),
             # A field of view outside (0, 360] degrees: NaN would write NaN
             # beam angles and a miss on every beam.
             *((["segment = 0 0 1 0", f"fov_deg = {fov}"], 2)
