@@ -19,7 +19,8 @@ import platform
 from .geometry import GridGeometry, LaserScan, Pose2, compose, inverse, transform_points
 from .mapping import ExpansionPolicy, SdfGrid, integrate_scan
 from .matching import MatchConfig, MatchResult, match_two_stage
-from .submaps import MergedMap, Submap, SubmapCollection, merge_submaps, pure_localize
+from .submaps import (MergedMap, Submap, SubmapCollection, localize_log, merge_submaps,
+                      pure_localize)
 
 # mallopt parameters, from glibc's malloc.h.
 _M_TRIM_THRESHOLD = -1
@@ -60,5 +61,6 @@ __all__ = [
     "SubmapCollection",
     "merge_submaps",
     "pure_localize",
+    "localize_log",
     "__version__",
 ]

@@ -13,17 +13,16 @@ import argparse
 import inspect
 import math
 import sys
-import time
 from dataclasses import fields, replace
 from pathlib import Path
 
 from .evaluate import TimingStats, evaluate_trajectory
 from .geometry import IDENTITY, Pose2
 from . import logio
-from .matching import MatchConfig, SingularHessian, TooFewPoints, predict_pose
+from .matching import MatchConfig
 from .simulate import parse_scenario, rectangle_circuit, run_scenario
 from .slam import SlamParams, run_slam
-from .submaps import MergedMap, merge_submaps, pure_localize
+from .submaps import MergedMap, localize_log, merge_submaps
 
 BUILTIN_SCENARIOS = ("rectangle-circuit",)
 
@@ -128,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--loc-iters", type=_positive_int,
-                   default=_default(pure_localize, "iters"),
+                   default=_default(localize_log, "iters"),
                    help="iteration cap for both stages")
     p.add_argument("--init", type=_finite_float, nargs=3, metavar=("X", "Y", "THETA"),
                    default=None,
@@ -211,22 +210,8 @@ def cmd_localize(args) -> int:
         print("error: empty scan log", file=sys.stderr)
         return 1
 
-    pose = IDENTITY if args.init is None else Pose2(*args.init)
-    trajectory: list[tuple[float, Pose2]] = []
-    timings = []
-    failures = 0
-    for record in records:
-        init = pose if not trajectory else predict_pose(
-            trajectory, target_time=record.timestamp)
-        start = time.perf_counter()
-        try:
-            pose = pure_localize(merged, record.scan, init, args.loc_iters).pose
-        except (SingularHessian, TooFewPoints):
-            # As in run_slam: keep the prediction and count the frame.
-            failures += 1
-            pose = init
-        timings.append(time.perf_counter() - start)
-        trajectory.append((record.timestamp, pose))
+    init = IDENTITY if args.init is None else Pose2(*args.init)
+    trajectory, timings, failures = localize_log(merged, records, init, args.loc_iters)
     logio.write_trajectory(args.out, trajectory)
     print(f"localize: {len(records)} scans, {failures} match failures")
     stats = TimingStats.from_samples(timings)

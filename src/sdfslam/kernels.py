@@ -5,16 +5,18 @@ Grid arrays are row-major float32 with shape (height, width), indexed
 (ox + col * res, oy + row * res). A point is *interior* when its continuous
 cell coordinates lie in [0, width-1] x [0, height-1].
 
-:func:`bilinear` is the one bilinear blend: ``matching._sample`` (the
-matcher), :func:`bilinear_fw` (the fallback of :func:`bicubic_fw`, the
-merge, which keeps its own W blend) and :func:`bilinear_wf` mask its result.
-:func:`bicubic_fw` decides each sample's support from two masks over the
-grid's known cells, for its nearest nodes and for its 4x4 patch, that it
-builds once per call instead of gathering each sample's stencil.
-:func:`bilinear_wf`, :func:`traverse_free` and ``BACKEND`` have no caller
-in the package; they stay only while the benchmark's tracer names them
-(ROADMAP item D). The tests use ``traverse_free``, with its own in-grid
-test, as the reference for ``mapping.traverse_beams``.
+:func:`bilinear` is the one bilinear blend of the matcher:
+``matching._sample`` masks its result. :func:`bicubic_fw`, the merge,
+blends the nodes of its own edge-padded grids instead, for W and for the F
+of a sample whose 4x4 patch is not all known. It decides each sample's
+support from two masks over the grid's known cells, for its nearest nodes
+and for its 4x4 patch, that it builds once per call instead of gathering
+each sample's stencil. :func:`bilinear_fw`, :func:`bilinear_wf`,
+:func:`traverse_free` and ``BACKEND`` have no caller in the package; they
+stay only while the benchmark's tracer names them (ROADMAP item D). The
+tests use ``bilinear_fw`` as the reference for the partial-patch F, and
+``traverse_free``, with its own in-grid test, as the reference for
+``mapping.traverse_beams``.
 """
 
 from __future__ import annotations
@@ -183,8 +185,9 @@ def bicubic_fw(F, W, ox, oy, res, trunc, pts):
     - when its whole 4x4 patch (rows and cols index-clamped at the borders)
       is known, F is the Catmull-Rom bicubic value, clamped to +-trunc
       because the cubic can overshoot;
-    - otherwise F is :func:`bilinear_fw`'s value, so the +trunc stored in
-      unknown cells never bends a surface.
+    - otherwise F is the bilinear value of its four nearest nodes, as
+      :func:`bilinear_fw` gives it, so the +trunc stored in unknown cells
+      never bends a surface.
 
     W is always the bilinear value, so it stays within [0, max(W)].
 
@@ -238,16 +241,22 @@ def bicubic_fw(F, W, ox, oy, res, trunc, pts):
 
     base = cell + 3 * j1[known]  # padded [j1, i1]
     a = base + stride + 1  # the nearest node, cell (i1, j1)
-    Wf = Wp.ravel()
-    wv[idx] = (1.0 - tv) * ((1.0 - tu) * Wf.take(a) + tu * Wf.take(a + 1)) + tv * (
-        (1.0 - tu) * Wf.take(a + stride) + tu * Wf.take(a + stride + 1)
-    )
+
+    def blend(P, node, tu, tv):
+        # The bilinear value of padded grid P between flat nodes node,
+        # node + 1, node + stride and node + stride + 1.
+        P = P.ravel()
+        return (1.0 - tv) * ((1.0 - tu) * P.take(node) + tu * P.take(node + 1)) + tv * (
+            (1.0 - tu) * P.take(node + stride) + tu * P.take(node + stride + 1)
+        )
+
+    wv[idx] = blend(Wp, a, tu, tv)
     valid[idx] = True
 
     full = patch[cell]
     if not full.all():
-        part = idx[~full]
-        fv[part], _ = bilinear_fw(F, W, ox, oy, res, trunc, pts[part])
+        part = ~full
+        fv[idx[part]] = blend(Fp, a[part], tu[part], tv[part])
         idx, base, tu, tv = idx[full], base[full], tu[full], tv[full]
 
     Ff = Fp.ravel()

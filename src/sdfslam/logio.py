@@ -81,18 +81,33 @@ def write_scan_log(records, path):
             fh.write("\n")
 
 
+def _finite_floats(tokens, names, line_no: int) -> list[float]:
+    """One finite float per name, read from ``tokens`` in order.
+
+    A token that is not a float, or one that is NaN or infinite, raises
+    :class:`ParseError` with the line number and the field's name.
+    """
+    values = []
+    for name, token in zip(names, tokens):
+        try:
+            value = float(token)
+        except ValueError as exc:
+            raise ParseError(line_no, f"bad {name}: {exc}") from None
+        if not math.isfinite(value):
+            raise ParseError(line_no, f"non-finite {name}: {value}")
+        values.append(value)
+    return values
+
+
 def _parse_record(tokens: list[str], line_no: int) -> ScanLogRecord:
     if len(tokens) < 6:
         raise ParseError(line_no, "record too short")
+    names = ("timestamp", "angle_min", "angle_increment", "range_min", "range_max")
+    ts, angle_min, inc, rmin, rmax = _finite_floats(tokens, names, line_no)
     try:
-        ts, angle_min, inc, rmin, rmax = header = [float(t) for t in tokens[:5]]
         count = int(tokens[5])
     except ValueError as exc:
-        raise ParseError(line_no, f"bad header field: {exc}") from None
-    names = ("timestamp", "angle_min", "angle_increment", "range_min", "range_max")
-    for name, value in zip(names, header):
-        if not np.isfinite(value):
-            raise ParseError(line_no, f"non-finite {name}: {value}")
+        raise ParseError(line_no, f"bad range count: {exc}") from None
     if count < 0:
         raise ParseError(line_no, "negative range count")
     if len(tokens) < 6 + count:
@@ -110,10 +125,8 @@ def _parse_record(tokens: list[str], line_no: int) -> ScanLogRecord:
             raise ParseError(line_no, f"unexpected trailing token {tag!r}")
         if tag in poses:
             raise ParseError(line_no, f"duplicate {tag} pose")
-        try:
-            poses[tag] = Pose2(float(rest[1]), float(rest[2]), float(rest[3]))
-        except ValueError as exc:
-            raise ParseError(line_no, f"bad {tag} pose: {exc}") from None
+        names = (f"{tag} x", f"{tag} y", f"{tag} theta")
+        poses[tag] = Pose2(*_finite_floats(rest[1:4], names, line_no))
         rest = rest[4:]
 
     scan = LaserScan(angle_min, inc, ranges, rmin, rmax)
@@ -221,10 +234,7 @@ def read_trajectory(path) -> list[tuple[float, Pose2]]:
             tokens = line.split()
             if len(tokens) != 4:
                 raise ParseError(i, "expected 'timestamp x y theta'")
-            try:
-                ts, x, y, theta = (float(t) for t in tokens)
-            except ValueError as exc:
-                raise ParseError(i, str(exc)) from None
+            ts, x, y, theta = _finite_floats(tokens, ("timestamp", "x", "y", "theta"), i)
             out.append((ts, Pose2(x, y, theta)))
     return out
 
@@ -255,9 +265,9 @@ def read_submaps(directory) -> list[Submap]:
             raise ParseError(i, "expected 'id finished scans x y theta file'")
         try:
             sid, finished, scans = int(tokens[0]), bool(int(tokens[1])), int(tokens[2])
-            pose = Pose2(float(tokens[3]), float(tokens[4]), float(tokens[5]))
         except ValueError as exc:
             raise ParseError(i, str(exc)) from None
+        pose = Pose2(*_finite_floats(tokens[3:6], ("x", "y", "theta"), i))
         grid = load_map(directory / tokens[6])
         out.append(Submap(grid=grid, pose=pose, id=sid, scan_count=scans,
                           finished=finished))

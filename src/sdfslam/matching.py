@@ -83,15 +83,14 @@ class MatchResult:
 def _sample(grid: SdfGrid, world: np.ndarray):
     """Bilinear F, its gradient and the confidence W / w_max at each point.
 
-    A mask over ``kernels.bilinear``, as the merge's ``bilinear_fw`` is.
-    Returns ``(f, gx, gy, conf, known)``. ``known`` marks the points inside
-    the interior whose four surrounding nodes all have W > 0; the other
-    points, off-grid and non-finite ones among them, get zeros everywhere,
-    so they carry no residual and no weight. This holds also for a point
-    exactly on a node's column or row: the next nodes have zero weight in F
-    there, but the gradient across the column or row reads them. The rule
-    is therefore stricter, on purpose, than the merge's
-    ``kernels.bicubic_fw``, which needs only a value.
+    A mask over ``kernels.bilinear``. Returns ``(f, gx, gy, conf, known)``.
+    ``known`` marks the points inside the interior whose four surrounding
+    nodes all have W > 0; the other points, off-grid and non-finite ones
+    among them, get zeros everywhere, so they carry no residual and no
+    weight. This holds also for a point exactly on a node's column or row:
+    the next nodes have zero weight in F there, but the gradient across the
+    column or row reads them. The rule is therefore stricter, on purpose,
+    than the merge's ``kernels.bicubic_fw``, which needs only a value.
     """
     geom = grid.geometry
     f, gx, gy, w, inside, wn = kernels.bilinear(

@@ -15,7 +15,8 @@ policy there as in the parent, and its inserts reuse freed buffers too.
 Finished submaps are later merged into a single grid by resampling each
 submap at the merged cell centers near its known cells (bicubic) and
 fusing with weighted means, taking the maximum weight. Pure localization
-registers scans against the merged grid without ever mutating it.
+registers scans against the merged grid without ever mutating it, one scan
+at a time (``pure_localize``) or a whole log in order (``localize_log``).
 """
 
 from __future__ import annotations
@@ -27,14 +28,16 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GridGeometry, Pose2, compose, inverse, transform_points
+from .geometry import IDENTITY, GridGeometry, Pose2, compose, inverse, transform_points
 from .mapping import ExpansionPolicy, SdfGrid, integrate_scan
-from .matching import MatchConfig, MatchResult, match_two_stage
+from .matching import (MatchConfig, MatchResult, SingularHessian, TooFewPoints,
+                       match_two_stage, predict_pose)
 from . import kernels
 
 
@@ -372,11 +375,47 @@ def merge_submaps(submaps) -> MergedMap:
     return MergedMap(grid=merged, provenance=[sm.id for sm in submaps])
 
 
-def pure_localize(merged: MergedMap, scan, init: Pose2, iters: int = 5) -> MatchResult:
+# Per stage; a handful suffices because the map is fixed and each start
+# pose is close.
+LOCALIZE_ITERS = 5
+
+
+def pure_localize(merged: MergedMap, scan, init: Pose2,
+                  iters: int = LOCALIZE_ITERS) -> MatchResult:
     """Register a scan against the merged map; never mutates it.
 
-    Both optimization stages are capped at ``iters`` iterations; a handful
-    suffices because the map is fixed and the initial pose is close. The
-    trim band and Huber scale come from the map, as in every match.
+    Both optimization stages are capped at ``iters`` iterations. The trim
+    band and Huber scale come from the map, as in every match.
     """
     return match_two_stage(merged.grid, scan, init, MatchConfig(iters, iters))
+
+
+def localize_log(merged: MergedMap, records, init: Pose2 = IDENTITY,
+                 iters: int = LOCALIZE_ITERS):
+    """Localize every record of a scan log in order; never mutates the map.
+
+    The first record starts at ``init``, by default the map origin, which is
+    where SLAM put the first pose of the map log. Each later record starts
+    at the constant-velocity prediction from the poses before it. As in
+    ``run_slam``, a record whose match raises keeps its start pose and
+    counts as a failure. Every ``pure_localize`` call is timed.
+
+    Returns ``(trajectory, frame_seconds, match_failures)``: the
+    (timestamp, pose) pairs and the seconds of each record, in log order,
+    and the number of failed matches.
+    """
+    trajectory: list[tuple[float, Pose2]] = []
+    frame_seconds: list[float] = []
+    failures = 0
+    for record in records:
+        if trajectory:
+            init = predict_pose(trajectory, target_time=record.timestamp)
+        start = time.perf_counter()
+        try:
+            pose = pure_localize(merged, record.scan, init, iters).pose
+        except (SingularHessian, TooFewPoints):
+            failures += 1
+            pose = init
+        frame_seconds.append(time.perf_counter() - start)
+        trajectory.append((record.timestamp, pose))
+    return trajectory, frame_seconds, failures

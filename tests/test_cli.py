@@ -8,6 +8,7 @@ with default flags: the first 120 frames of the 400-frame
 import contextlib
 import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,34 @@ class TestPipeline:
         d, steps = pipeline
         assert "localize: 120 scans, 1 match failures" in steps["localize-gap"][1]
         assert len((d / "loc_gap.txt").read_text().splitlines()) == FRAMES
+
+    def test_merge_rejects_a_non_finite_anchor(self, pipeline, tmp_path):
+        d, _ = pipeline
+        shutil.copytree(d / "slam" / "submaps", tmp_path / "submaps")
+        index = tmp_path / "submaps" / "index.txt"
+        lines = index.read_text().splitlines()
+        tokens = lines[0].split()
+        tokens[3] = "nan"  # the first anchor's x
+        lines[0] = " ".join(tokens)
+        index.write_text("\n".join(lines) + "\n")
+        code, text = run("merge", "--submaps", tmp_path / "submaps",
+                         "--out", tmp_path / "merged.sdf2")
+        assert (code, text) == (1, "error: line 1: non-finite x: nan\n")
+        assert not (tmp_path / "merged.sdf2").exists()
+
+    @pytest.mark.parametrize("flag", ["--est", "--gt", "--anchor-gt"])
+    def test_eval_rejects_a_non_finite_pose(self, pipeline, tmp_path, flag):
+        # The fifth pose's heading is infinite in the file given to ``flag``.
+        d, _ = pipeline
+        lines = (d / "gt.txt").read_text().splitlines()
+        tokens = lines[4].split()
+        tokens[3] = "inf"
+        lines[4] = " ".join(tokens)
+        (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+        files = {"--est": d / "loc.txt", "--gt": d / "gt.txt", "--anchor-gt": d / "gt.txt",
+                 flag: tmp_path / "bad.txt"}
+        code, text = run("eval", *(arg for pair in files.items() for arg in pair))
+        assert (code, text) == (1, "error: line 5: non-finite theta: inf\n")
 
     def test_scans_cut_the_lap_short(self, pipeline, tmp_path):
         # --scans 60 writes the lap's first 60 frames, so the frame spacing

@@ -68,6 +68,10 @@ class TestScanLog:
         ("0.3 -1.0 nan 0.05 10.0 1 1.0", "non-finite angle_increment"),
         ("0.3 -1.0 0.1 -inf 10.0 1 1.0", "non-finite range_min"),
         ("0.3 -1.0 0.1 0.05 inf 1 1.0", "non-finite range_max"),
+        ("0.3 -1.0 0.1 0.05 10.0 1 1.0 gt nan 0 0", "non-finite gt x"),
+        ("0.3 -1.0 0.1 0.05 10.0 1 1.0 gt 0 -inf 0", "non-finite gt y"),
+        ("0.3 -1.0 0.1 0.05 10.0 1 1.0 odom 0 0 inf", "non-finite odom theta"),
+        ("0.3 -1.0 0.1 0.05 10.0 1 1.0 odom 0 x 0", "bad odom y"),
     ])
     def test_parse_error_names_the_line(self, bad, reason):
         good = logio.format_record(_record(0.1, [1.0, 2.0]))
@@ -160,15 +164,44 @@ class TestTrajectoryAndSubmaps:
                 want.id, want.pose, want.scan_count, want.finished)
             _assert_grids_identical(got.grid, want.grid)
 
-    def test_bad_submap_index_names_the_line(self, tmp_path):
+    @pytest.mark.parametrize("bad, reason", [
+        ("0.3 nan 0 0", "non-finite x"),
+        ("0.3 0 0 -inf", "non-finite theta"),
+        ("inf 0 0 0", "non-finite timestamp"),
+        ("0.3 0 y 0", "bad y"),
+        ("0.3 0 0", "expected 'timestamp x y theta'"),
+    ])
+    def test_bad_trajectory_line_names_it(self, tmp_path, bad, reason):
+        path = tmp_path / "t.txt"
+        path.write_text(f"0.1 0 0 0\n\n0.2 0 0 0\n{bad}\n")
+        with pytest.raises(ParseError) as exc:
+            logio.read_trajectory(path)
+        assert exc.value.line == 4
+        assert exc.value.reason.startswith(reason)
+
+    def _bad_submap_index(self, tmp_path, field, value):
+        """The reason ``read_submaps`` gives for a two-submap set whose second
+        index line holds ``value`` at token ``field``; the error names line 2."""
         submaps = [Submap(grid=_grid(k), pose=Pose2(k, 0.0, 0.0), id=k, scan_count=10,
                           finished=True) for k in range(2)]
         logio.write_submaps(submaps, tmp_path / "set")
         index = tmp_path / "set" / "index.txt"
         lines = index.read_text().splitlines()
-        lines[1] = "x " + lines[1].split(" ", 1)[1]
+        tokens = lines[1].split()
+        tokens[field] = value
+        lines[1] = " ".join(tokens)
         index.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as exc:
             logio.read_submaps(tmp_path / "set")
         assert exc.value.line == 2
-        assert "'x'" in exc.value.reason
+        return exc.value.reason
+
+    def test_bad_submap_index_names_the_line(self, tmp_path):
+        assert "'x'" in self._bad_submap_index(tmp_path, 0, "x")
+
+    @pytest.mark.parametrize("field, value, reason", [
+        (3, "nan", "non-finite x: nan"),
+        (5, "inf", "non-finite theta: inf"),
+    ])
+    def test_non_finite_submap_anchor_names_the_line(self, tmp_path, field, value, reason):
+        assert self._bad_submap_index(tmp_path, field, value) == reason

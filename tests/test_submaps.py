@@ -25,6 +25,7 @@ from sdfslam.submaps import (
     MixedSettings,
     Submap,
     SubmapCollection,
+    localize_log,
     merge_submaps,
     merged_bounds,
     pure_localize,
@@ -576,37 +577,90 @@ class TestYoungSubmap:
         assert math.hypot(err.x - truth.x, err.y - truth.y) < 1e-3
 
 
-class TestLocalizationFloor:
-    """Merge and matcher alone, on a map built from true poses.
+FLOOR_FRAMES = 120
+
+
+@pytest.fixture(scope="module")
+def floor():
+    """A map built from true poses, and a second log to localize on it.
 
     The first 120 frames of the seed-7 lap go into 200-cell submaps at
     their true poses, in the map frame (the first true pose), and are
-    merged. The first 120 frames of the seed-8 lap are then localized on
-    that map from the map origin, as ``sdfslam localize`` does, and compared
-    with the truth in the map frame. SLAM pose error is left out, so this
-    is the floor of the pipeline's localization accuracy.
+    merged. Returns the merged map, the world-to-map pose and the first
+    120 frames of the seed-8 lap.
+    """
+    records = run_scenario(*rectangle_circuit(seed=7))[:FLOOR_FRAMES]
+    to_map = inverse(records[0].gt)
+    coll = SubmapCollection(cells=200)
+    for r in records:
+        coll.add_scan(r.scan, compose(to_map, r.gt))
+    coll.finish_all()
+    log = run_scenario(*rectangle_circuit(seed=8))[:FLOOR_FRAMES]
+    return merge_submaps(coll.submaps), to_map, log
+
+
+def _errors(trajectory, log, to_map):
+    """Each pose's translation error against its record's truth in the map frame."""
+    assert [t for t, _ in trajectory] == [r.timestamp for r in log]
+    truth = [compose(to_map, r.gt) for r in log]
+    return [math.hypot(p.x - q.x, p.y - q.y) for (_, p), q in zip(trajectory, truth)]
+
+
+class TestLocalizationFloor:
+    """Merge and matcher alone, on the ``floor`` map built from true poses.
+
+    The seed-8 log is localized on it from the map origin by
+    ``localize_log``, as ``sdfslam localize`` does, and compared with the
+    truth in the map frame. SLAM pose error is left out, so this is the
+    floor of the pipeline's localization accuracy.
     """
 
-    FRAMES = 120
-
-    def test_error_within_paper_bound(self):
-        records = run_scenario(*rectangle_circuit(seed=7))[:self.FRAMES]
-        to_map = inverse(records[0].gt)
-        coll = SubmapCollection(cells=200)
-        for r in records:
-            coll.add_scan(r.scan, compose(to_map, r.gt))
-        coll.finish_all()
-        merged = merge_submaps(coll.submaps)
-
-        trajectory, errors = [], []
-        for r in run_scenario(*rectangle_circuit(seed=8))[:self.FRAMES]:
-            init = (IDENTITY if not trajectory
-                    else predict_pose(trajectory, target_time=r.timestamp))
-            pose = pure_localize(merged, r.scan, init).pose
-            trajectory.append((r.timestamp, pose))
-            truth = compose(to_map, r.gt)
-            errors.append(math.hypot(pose.x - truth.x, pose.y - truth.y))
+    def test_error_within_paper_bound(self, floor):
+        merged, to_map, log = floor
+        trajectory, frame_s, failures = localize_log(merged, log)
+        errors = _errors(trajectory, log, to_map)
+        assert failures == 0
+        assert len(frame_s) == FLOOR_FRAMES
         # Measured p95 1.69 mm and max 2.28 mm; map seeds 1-8 give
         # 1.50-2.08 mm and 1.96-2.57 mm.
         assert np.percentile(errors, 95) < 0.003
         assert max(errors) < 0.005
+
+
+class TestLocalizeLog:
+    def test_equals_a_per_scan_loop(self, floor):
+        merged, _, log = floor
+        got, _, _ = localize_log(merged, log, iters=3)
+        want = []
+        for r in log:
+            init = IDENTITY if not want else predict_pose(want, target_time=r.timestamp)
+            want.append((r.timestamp, pure_localize(merged, r.scan, init, iters=3).pose))
+        assert got == want
+
+    def test_record_without_valid_range_keeps_its_guess(self, floor):
+        merged, _, log = floor
+        log = log[:64]
+        gap = log[60]
+        log[60] = replace(gap, scan=replace(gap.scan, ranges=np.full_like(
+            gap.scan.ranges, np.inf)))
+        trajectory, frame_s, failures = localize_log(merged, log)
+        assert failures == 1
+        assert trajectory[60] == (
+            gap.timestamp, predict_pose(trajectory[:60], target_time=gap.timestamp))
+        assert len(frame_s) == len(log) and frame_s[60] > 0.0
+
+    def test_starts_at_init(self, floor):
+        # Frame 60 onward, from frame 60's true pose in the map frame; from
+        # the map origin, 55 of these 60 frames fail.
+        merged, to_map, log = floor
+        log = log[60:]
+        trajectory, _, failures = localize_log(merged, log, compose(to_map, log[0].gt))
+        assert failures == 0
+        # Measured max 2.28 mm, the bound of the whole-log floor test.
+        assert max(_errors(trajectory, log, to_map)) < 0.005
+
+    def test_leaves_the_map_unchanged(self, floor):
+        merged, _, log = floor
+        before = merged.grid.F.tobytes() + merged.grid.W.tobytes()
+        localize_log(merged, log[:10])
+        assert merged.grid.F.tobytes() + merged.grid.W.tobytes() == before
