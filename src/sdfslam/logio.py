@@ -8,7 +8,8 @@ shortest round-trip precision so write-then-parse is exact.
 
 Map files are little-endian binary: magic ``SDF2``, a version number, the
 grid geometry, then the F and W planes as row-major 32-bit floats. Load of
-a save is bit-exact.
+a save is bit-exact; a load rejects a non-finite F, or a W that is negative
+or non-finite.
 """
 
 from __future__ import annotations
@@ -190,6 +191,12 @@ def load_map(path) -> SdfGrid:
         raise FormatError(str(exc)) from None
     F = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size)
     W = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size + 4 * n)
+    # Unknown cells too: the export casts every F to a pixel.
+    for name, bad, what in (("F", ~np.isfinite(F), "non-finite"),
+                            ("W", ~(np.isfinite(W) & (W >= 0.0)), "negative or non-finite")):
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise FormatError(f"{name} plane holds a {what} value at cell {first}")
     return SdfGrid(
         geometry=geom, truncation=trunc, w_max=w_max,
         F=F.reshape(height, width).copy(),

@@ -26,11 +26,12 @@ a sample is the sample of the subset.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2, normalize_angle, scan_to_points, transform_points
+from .geometry import IDENTITY, Pose2, normalize_angle, scan_to_points, transform_points
 from .mapping import SdfGrid
 from . import kernels
 
@@ -279,3 +280,37 @@ def predict_pose(history, target_time: float) -> Pose2:
         p2.y + tau * (p2.y - p1.y),
         p2.theta + tau * normalize_angle(p2.theta - p1.theta),
     )
+
+
+def track(records, register, init: Pose2 = IDENTITY, then=None):
+    """Register each record's scan in log order, each from a predicted start.
+
+    The one tracking loop, behind both ``run_slam`` and ``localize_log``.
+    The first record starts at ``init``; each later one starts at
+    :func:`predict_pose` of the poses before it. ``register(scan, start)``
+    returns the record's pose and is timed. A record whose ``register``
+    raises :class:`SingularHessian` or :class:`TooFewPoints` keeps its start
+    pose and counts as a failure; any other exception propagates.
+    ``then(scan, pose)``, when given, sees each final pose before the next
+    record is read.
+
+    Returns ``(trajectory, frame_seconds, match_failures)``: the
+    (timestamp, pose) pairs and the seconds of each ``register`` call, in
+    log order, and the number of failed matches.
+    """
+    trajectory: list[tuple[float, Pose2]] = []
+    frame_seconds: list[float] = []
+    failures = 0
+    for record in records:
+        start = predict_pose(trajectory, target_time=record.timestamp) if trajectory else init
+        began = time.perf_counter()
+        try:
+            pose = register(record.scan, start)
+        except (SingularHessian, TooFewPoints):
+            failures += 1
+            pose = start
+        frame_seconds.append(time.perf_counter() - began)
+        trajectory.append((record.timestamp, pose))
+        if then is not None:
+            then(record.scan, pose)
+    return trajectory, frame_seconds, failures

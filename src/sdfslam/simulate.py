@@ -88,12 +88,6 @@ class World:
         static = np.ones((len(idx), len(self.static_segments)), dtype=bool)
         return np.hstack([static, (first <= idx) & (idx <= last)])
 
-    def segments_for(self, scan_index: int | None = None) -> np.ndarray:
-        """Active segments for a scan index (static only when None)."""
-        if scan_index is None:
-            return self.static_segments
-        return self.segments[self.active([scan_index])[0]]
-
 
 @dataclass(frozen=True)
 class SensorModel:

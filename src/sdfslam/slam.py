@@ -1,10 +1,11 @@
 """SLAM front end: match each scan against the active submap, then insert it.
 
 The first scan fixes the map frame at the identity pose. Every later scan is
-initialized by constant-velocity prediction, registered against the older
-unfinished submap, and integrated into the staggered submap window. Matching
-failures (degenerate geometry, over-trimming) fall back to the predicted
-pose and are counted, not fatal.
+registered against the older unfinished submap and integrated into the
+staggered submap window. ``matching.track`` holds the loop, the same one
+that pure localization runs: each later scan starts at the constant-velocity
+prediction, and a failed match (degenerate geometry, over-trimming) keeps
+that start pose and is counted, not fatal.
 
 The younger live submap is integrated in a worker process while this one
 matches and integrates the target (see ``submaps``), so a run uses two
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .geometry import IDENTITY, Pose2, compose, inverse
-from .matching import MatchConfig, SingularHessian, TooFewPoints, match_two_stage, predict_pose
+from .geometry import Pose2, compose, inverse
+from .matching import MatchConfig, match_two_stage, track
 from .submaps import SubmapCollection
 
 
@@ -63,25 +64,16 @@ def run_slam(records, params: SlamParams | None = None) -> SlamResult:
         params = SlamParams()
     collection = params.collection()
 
-    trajectory: list[tuple[float, Pose2]] = []
-    failures = 0
+    def register(scan, start: Pose2) -> Pose2:
+        target = collection.matching_target()
+        if target is None:  # the first scan
+            return start
+        local = compose(inverse(target.pose), start)
+        result = match_two_stage(target.grid, scan, local, params.match)
+        return compose(target.pose, result.pose)
+
     with collection:
-        for record in records:
-            scan = record.scan
-            target = collection.matching_target()
-            if target is None:
-                pose = IDENTITY
-            else:
-                init = predict_pose(trajectory, target_time=record.timestamp)
-                init_local = compose(inverse(target.pose), init)
-                try:
-                    result = match_two_stage(target.grid, scan, init_local, params.match)
-                    pose = compose(target.pose, result.pose)
-                except (SingularHessian, TooFewPoints):
-                    failures += 1
-                    pose = init
-            collection.add_scan(scan, pose)
-            trajectory.append((record.timestamp, pose))
+        trajectory, _, failures = track(records, register, then=collection.add_scan)
         collection.finish_all()
     return SlamResult(trajectory=trajectory, collection=collection,
                       match_failures=failures)

@@ -28,7 +28,6 @@ import pickle
 import signal
 import subprocess
 import sys
-import time
 import weakref
 from dataclasses import dataclass, field
 
@@ -36,8 +35,7 @@ import numpy as np
 
 from .geometry import IDENTITY, GridGeometry, Pose2, compose, inverse, transform_points
 from .mapping import ExpansionPolicy, SdfGrid, integrate_scan
-from .matching import (MatchConfig, MatchResult, SingularHessian, TooFewPoints,
-                       match_two_stage, predict_pose)
+from .matching import MatchConfig, MatchResult, match_two_stage, track
 from . import kernels
 
 
@@ -395,27 +393,15 @@ def localize_log(merged: MergedMap, records, init: Pose2 = IDENTITY,
     """Localize every record of a scan log in order; never mutates the map.
 
     The first record starts at ``init``, by default the map origin, which is
-    where SLAM put the first pose of the map log. Each later record starts
-    at the constant-velocity prediction from the poses before it. As in
-    ``run_slam``, a record whose match raises keeps its start pose and
-    counts as a failure. Every ``pure_localize`` call is timed.
+    where SLAM put the first pose of the map log. Each record is registered
+    with ``pure_localize`` under the rule of ``matching.track``, which
+    ``run_slam`` follows too: later records start at the constant-velocity
+    prediction, and a record whose match raises keeps its start pose and
+    counts as a failure.
 
     Returns ``(trajectory, frame_seconds, match_failures)``: the
     (timestamp, pose) pairs and the seconds of each record, in log order,
     and the number of failed matches.
     """
-    trajectory: list[tuple[float, Pose2]] = []
-    frame_seconds: list[float] = []
-    failures = 0
-    for record in records:
-        if trajectory:
-            init = predict_pose(trajectory, target_time=record.timestamp)
-        start = time.perf_counter()
-        try:
-            pose = pure_localize(merged, record.scan, init, iters).pose
-        except (SingularHessian, TooFewPoints):
-            failures += 1
-            pose = init
-        frame_seconds.append(time.perf_counter() - start)
-        trajectory.append((record.timestamp, pose))
-    return trajectory, frame_seconds, failures
+    return track(records, lambda scan, start: pure_localize(merged, scan, start, iters).pose,
+                 init)

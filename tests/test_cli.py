@@ -9,6 +9,7 @@ import contextlib
 import io
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,20 @@ class TestPipeline:
                          "--out", tmp_path / "merged.sdf2")
         assert (code, text) == (1, "error: line 1: non-finite x: nan\n")
         assert not (tmp_path / "merged.sdf2").exists()
+
+    @pytest.mark.parametrize("plane, value, reason", [
+        ("F", float("nan"), "non-finite"), ("W", -1.0, "negative or non-finite")])
+    def test_localize_rejects_a_corrupt_map(self, pipeline, tmp_path, plane, value, reason):
+        # The first cell of the plane, which is unknown, holds ``value``.
+        d, _ = pipeline
+        data = bytearray((d / "slam" / "map.sdf2").read_bytes())
+        offset = 64 if plane == "F" else 64 + (len(data) - 64) // 2
+        data[offset:offset + 4] = struct.pack("<f", value)
+        (tmp_path / "bad.sdf2").write_bytes(bytes(data))
+        code, text = run("localize", "--map", tmp_path / "bad.sdf2", "--log", d / "log.txt",
+                         "--out", tmp_path / "loc.txt")
+        assert (code, text) == (1, f"error: {plane} plane holds a {reason} value at cell 0\n")
+        assert not (tmp_path / "loc.txt").exists()
 
     @pytest.mark.parametrize("flag", ["--est", "--gt", "--anchor-gt"])
     def test_eval_rejects_a_non_finite_pose(self, pipeline, tmp_path, flag):

@@ -141,6 +141,25 @@ class TestMapFile:
         with pytest.raises(FormatError, match=f"^{field} must be"):
             logio.load_map(path)
 
+    @pytest.mark.parametrize("plane, cells, value, reason", [
+        ("F", [5], math.nan, "non-finite"),
+        ("W", [5], -1.0, "negative or non-finite"),
+        ("W", [5, 9, 20], math.inf, "negative or non-finite"),
+    ])
+    def test_corrupt_plane(self, tmp_path, plane, cells, value, reason):
+        # The planes follow the 64-byte header as float32, F before W.
+        path = tmp_path / "m.sdf2"
+        grid = _grid()
+        logio.save_map(grid, path)
+        data = bytearray(path.read_bytes())
+        base = 64 + (4 * grid.F.size if plane == "W" else 0)
+        for k in cells:
+            data[base + 4 * k:base + 4 * k + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        message = f"^{plane} plane holds a {reason} value at cell 5$"
+        with pytest.raises(FormatError, match=message):
+            logio.load_map(path)
+
 
 class TestTrajectoryAndSubmaps:
     def test_trajectory_round_trip(self, tmp_path):

@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sdfslam import kernels, matching
 from sdfslam.geometry import (
+    IDENTITY,
     GridGeometry,
     Pose2,
     compose,
@@ -22,10 +24,11 @@ from sdfslam.matching import (
     gauss_newton,
     match_two_stage,
     predict_pose,
+    track,
     trim_points,
 )
 from sdfslam.simulate import SensorModel, simulate_scan
-from sdfslam.submaps import SubmapCollection
+from sdfslam.submaps import SubmapCollection, SubmapWorkerError
 
 from conftest import build_room_map, make_square_world
 
@@ -387,3 +390,78 @@ class TestPredictPose:
     def test_requires_history(self):
         with pytest.raises(ValueError):
             predict_pose([], target_time=0.0)
+
+
+def _log(frames=5):
+    """Records whose scan is their index, 0.1 s apart."""
+    return [SimpleNamespace(timestamp=0.1 * k, scan=k) for k in range(frames)]
+
+
+def _curving(scan, start):
+    """A fake matcher: record k lands at x = k * k, whatever its start."""
+    return Pose2(float(scan * scan), 0.0, 0.1 * scan)
+
+
+class TestTrack:
+    """``track`` with a fake ``register``; no grid is built."""
+
+    @pytest.mark.parametrize("failure", [TooFewPoints, SingularHessian])
+    def test_failed_record_keeps_its_start_pose(self, failure):
+        starts = []
+
+        def register(scan, start):
+            starts.append(start)
+            if scan == 3:
+                raise failure("no match")
+            return _curving(scan, start)
+
+        init = Pose2(0.5, -0.25, 0.125)
+        trajectory, _, failures = track(_log(), register, init)
+        assert failures == 1
+        assert starts[0] == init
+        for k in range(1, 5):
+            assert starts[k] == predict_pose(trajectory[:k], 0.1 * k)
+        assert trajectory[3] == (0.1 * 3, starts[3])
+        assert [pose for _, pose in trajectory] == [
+            starts[3] if k == 3 else _curving(k, None) for k in range(5)]
+
+    def test_starts_at_the_identity(self):
+        assert track(_log(1), lambda scan, start: start)[0] == [(0.0, IDENTITY)]
+
+    def test_then_sees_each_pose_before_the_next_match(self):
+        events = []
+
+        def register(scan, start):
+            events.append(("register", scan))
+            if scan == 2:
+                raise TooFewPoints("no match")
+            return _curving(scan, start)
+
+        trajectory, _, _ = track(_log(), register,
+                                 then=lambda scan, pose: events.append(("then", scan, pose)))
+        expected = []
+        for k, (_, pose) in enumerate(trajectory):
+            expected += [("register", k), ("then", k, pose)]
+        assert events == expected
+
+    @pytest.mark.parametrize("error", [SubmapWorkerError("worker died"),
+                                       OSError("log truncated")])
+    def test_other_errors_propagate(self, error):
+        seen = []
+
+        def register(scan, start):
+            if scan == 2:
+                raise error
+            return _curving(scan, start)
+
+        with pytest.raises(type(error)) as raised:
+            track(_log(), register, then=lambda scan, pose: seen.append(scan))
+        assert raised.value is error
+        assert seen == [0, 1]
+
+    def test_one_frame_time_per_record(self):
+        trajectory, frame_seconds, failures = track(_log(7), _curving)
+        assert len(trajectory) == len(frame_seconds) == 7
+        assert all(s >= 0.0 for s in frame_seconds)
+        assert failures == 0
+        assert track([], _curving) == ([], [], 0)

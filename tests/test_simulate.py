@@ -29,8 +29,10 @@ def point_segment_distance(px, py, seg):
 
 
 def min_distance_to_world(px, py, world, scan_index=None):
-    return min(point_segment_distance(px, py, seg)
-               for seg in world.segments_for(scan_index))
+    """Distance to the segments scan ``scan_index`` sees, or the static ones."""
+    segments = (world.static_segments if scan_index is None
+                else world.segments[world.active([scan_index])[0]])
+    return min(point_segment_distance(px, py, seg) for seg in segments)
 
 
 class TestRaycast:
@@ -93,8 +95,9 @@ class TestRaycast:
             np.array([[5.0, -1.0, 5.0, 1.0]]),
             [DynamicSegment((2.0, -1.0, 2.0, 1.0), first=3, last=5)],
         )
-        hits = [_raycast_batch(world.segments_for(k), self.ORIGIN, self.EAST, 10.0)[0]
-                for k in (2, 4, 6, None)]
+        seen = [world.segments[world.active([k])[0]] for k in (2, 4, 6)]
+        hits = [_raycast_batch(segments, self.ORIGIN, self.EAST, 10.0)[0]
+                for segments in seen + [world.static_segments]]
         assert hits == pytest.approx([5.0, 2.0, 5.0, 5.0])
 
     def test_degenerate_segment_rejected(self):

@@ -11,12 +11,14 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sdfslam
 from sdfslam.evaluate import evaluate_trajectory
-from sdfslam.geometry import compose, inverse
+from sdfslam.geometry import IDENTITY, compose, inverse
 from sdfslam.mapping import ExpansionPolicy, SdfGrid, integrate_scan
+from sdfslam.matching import predict_pose
 from sdfslam.simulate import rectangle_circuit, run_scenario
 from sdfslam.slam import SlamParams, run_slam
 from sdfslam.submaps import SubmapWorkerError, merge_submaps
@@ -55,6 +57,22 @@ def test_submaps_finished_and_merged(lap):
     assert [s.id for s in subs] == list(range(len(subs)))
     assert all(s.finished and s.scan_count > 0 for s in subs)
     assert merge_submaps(subs).provenance == [s.id for s in subs]
+
+
+def test_record_without_valid_range_keeps_its_guess(lap):
+    # The rule that localization follows: a frame whose match raises keeps
+    # its constant-velocity prediction and counts as a failure.
+    records, _ = lap
+    records = list(records)
+    gap = records[60]
+    records[60] = replace(gap, scan=replace(gap.scan, ranges=np.full_like(
+        gap.scan.ranges, np.inf)))
+    result = run_slam(records, PARAMS)
+    assert result.match_failures == 1
+    trajectory = result.trajectory
+    assert trajectory[0][1] == IDENTITY
+    assert trajectory[60] == (
+        gap.timestamp, predict_pose(trajectory[:60], target_time=gap.timestamp))
 
 
 def test_repeat_run_identical(lap):
