@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +47,8 @@ class ExpansionPolicy:
     max_expansions: int
 
     def __post_init__(self):
+        if not isinstance(self.max_expansions, numbers.Integral):
+            raise ValueError("max_expansions must be an integer")
         if self.max_expansions < 0:
             raise ValueError("max_expansions must be >= 0")
 

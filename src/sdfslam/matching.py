@@ -17,6 +17,12 @@ outside the truncation band, which removes most range outliers.
 off the grid being matched, with no override; its only settings are the
 iteration caps of :class:`MatchConfig`.
 
+Stage one exists only to choose stage two's points, so it also stops at the
+first iterate that lowers the cost below every earlier iterate and keeps
+the same points as the iterate before it. Each step solves the damped 3x3
+normal equations in closed form, in Python floats: the symmetric
+eigenvalues for the rank test, then a Cholesky solve (see :func:`_step`).
+
 A match samples the grid once at each pose it visits. Trimming reads stage
 one's sample at its best pose, and stage two starts from the kept points of
 that sample: transforming and sampling act point by point, so the subset of
@@ -26,6 +32,7 @@ a sample is the sample of the subset.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -37,7 +44,6 @@ from . import kernels
 
 _EIG_RATIO_MIN = 1e-10
 _DAMPING = 1e-6
-_EYE3 = np.eye(3)
 _CONVERGENCE_EPS = 1e-6  # relative cost change that ends a stage
 
 
@@ -58,7 +64,10 @@ class MatchConfig:
 
     def __post_init__(self):
         for name in ("max_iters_stage1", "max_iters_stage2"):
-            if not getattr(self, name) > 0:  # NaN fails too
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -137,18 +146,78 @@ def _normal_equations(pts: np.ndarray, pose: Pose2, sample, a, inlier, delta: fl
     return J.T @ Jw, Jw.T @ f
 
 
+def _root(pivot: float) -> float:
+    """The square root of a Cholesky pivot, which must be positive."""
+    if not pivot > 0.0:  # NaN fails too
+        raise SingularHessian("damped normal matrix is not positive definite")
+    return math.sqrt(pivot)
+
+
+def _step(H: np.ndarray, g: np.ndarray) -> tuple[float, float, float]:
+    """The Gauss-Newton step ``x`` solving ``(H + 1e-6 tr(H) I) x = -g``.
+
+    ``H`` is the symmetric 3x3 normal matrix. Its eigenvalues come in closed
+    form (the trigonometric solution of the characteristic cubic), and the
+    damped system is solved by Cholesky, all in Python floats. Raises
+    :class:`SingularHessian` when the trace is zero or not finite, when the
+    smallest eigenvalue is below 1e-10 of the largest, or when the Cholesky
+    factorization fails.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = H.tolist()
+    trace = a + d + f
+    if not (math.isfinite(trace) and trace > 0.0):
+        raise SingularHessian("zero normal matrix (no supported points)")
+    q = trace / 3.0
+    off = b * b + c * c + e * e
+    p = math.sqrt(((a - q) ** 2 + (d - q) ** 2 + (f - q) ** 2 + 2.0 * off) / 6.0)
+    if p > 0.0:
+        # det((H - qI) / p) / 2 is the cosine of three times an angle.
+        a0, d0, f0 = (a - q) / p, (d - q) / p, (f - q) / p
+        b0, c0, e0 = b / p, c / p, e / p
+        r = 0.5 * (a0 * (d0 * f0 - e0 * e0) - b0 * (b0 * f0 - e0 * c0)
+                   + c0 * (b0 * e0 - d0 * c0))
+        phi = math.acos(min(1.0, max(-1.0, r))) / 3.0
+        lam_max = q + 2.0 * p * math.cos(phi)
+        lam_min = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+    else:
+        lam_max = lam_min = q
+    if not (lam_max > 0.0 and lam_min >= _EIG_RATIO_MIN * lam_max):  # NaN too
+        raise SingularHessian("normal matrix is rank deficient")
+
+    mu = _DAMPING * trace
+    l11 = _root(a + mu)
+    l21, l31 = b / l11, c / l11
+    l22 = _root(d + mu - l21 * l21)
+    l32 = (e - l21 * l31) / l22
+    l33 = _root(f + mu - l31 * l31 - l32 * l32)
+    g0, g1, g2 = g.tolist()
+    # L y = -g, then L^T x = y.
+    y1 = -g0 / l11
+    y2 = (-g1 - l21 * y1) / l22
+    y3 = (-g2 - l31 * y1 - l32 * y2) / l33
+    x3 = y3 / l33
+    x2 = (y2 - l32 * x3) / l22
+    x1 = (y1 - l21 * x2 - l31 * x3) / l11
+    return x1, x2, x3
+
+
 def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int,
                  convergence_eps: float, huber_delta: float, *,
-                 first=None) -> MatchResult:
+                 first=None, band: float | None = None) -> MatchResult:
     """Minimize the robust SDF cost from ``init``.
 
     Stops at the iteration cap or when the relative cost change between two
-    consecutive iterations falls below ``convergence_eps``. The best iterate
-    is tracked, so the returned pose never costs more than ``init``, and the
-    result carries its sample. Every setting comes from the caller;
-    :func:`match_two_stage` takes the distances from the grid. ``first``,
-    when given, is the sample of ``scan_points`` at ``init``, which then is
-    not sampled again.
+    consecutive iterations falls below ``convergence_eps``. With a ``band``,
+    it also stops at the first iterate that costs less than every earlier
+    one and keeps the same points as the iterate before it, where an
+    iterate keeps what :func:`trim_points` keeps at ``band`` (``init`` is
+    the first iterate). A stop by either rule sets ``converged``. Each step
+    is :func:`_step`. The best iterate is tracked, so the returned pose
+    never costs more than ``init``, and the result carries its sample.
+    Every setting comes from the caller; :func:`match_two_stage` takes the
+    distances from the grid and passes ``band`` to stage one only.
+    ``first``, when given, is the sample of ``scan_points`` at ``init``,
+    which then is not sampled again.
     """
     pts = np.asarray(scan_points, dtype=np.float64).reshape(-1, 2)
     if len(pts) == 0:
@@ -157,6 +226,7 @@ def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int,
     pose = init
     sample = _sample(grid, transform_points(pose, pts)) if first is None else first
     prev_cost, a, inlier = _robust_cost(sample, huber_delta)
+    kept = None if band is None else _kept(sample, band)
     best_pose, best_cost, best_sample = pose, prev_cost, sample
     iters = 0
     converged = False
@@ -164,29 +234,25 @@ def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int,
     for _ in range(max_iters):
         # H and g are built only at a pose the loop steps from.
         H, g = _normal_equations(pts, pose, sample, a, inlier, huber_delta)
-        trace = float(np.trace(H))
-        if not np.isfinite(trace) or trace <= 0.0:
-            raise SingularHessian("zero normal matrix (no supported points)")
-        eigs = np.linalg.eigvalsh(H)
-        if eigs[-1] <= 0.0 or eigs[0] < _EIG_RATIO_MIN * eigs[-1]:
-            raise SingularHessian("normal matrix is rank deficient")
-        Hd = H + (_DAMPING * trace) * _EYE3
-        try:
-            step = np.linalg.solve(Hd, -g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian(str(exc)) from None
+        dx, dy, dtheta = _step(H, g)
 
-        pose = Pose2(pose.x + step[0], pose.y + step[1], pose.theta + step[2])
+        pose = Pose2(pose.x + dx, pose.y + dy, pose.theta + dtheta)
         sample = _sample(grid, transform_points(pose, pts))
         cur_cost, a, inlier = _robust_cost(sample, huber_delta)
         iters += 1
-        if cur_cost < best_cost:
+        lowered = cur_cost < best_cost
+        if lowered:
             best_pose, best_cost, best_sample = pose, cur_cost, sample
         rel = abs(prev_cost - cur_cost) / max(prev_cost, 1e-300)
         prev_cost = cur_cost
         if rel < convergence_eps:
             converged = True
             break
+        if band is not None:
+            kept, before = _kept(sample, band), kept
+            if lowered and np.array_equal(kept, before):
+                converged = True
+                break
 
     return MatchResult(
         pose=best_pose,
@@ -198,6 +264,12 @@ def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int,
         converged=converged,
         sample=best_sample,
     )
+
+
+def _kept(sample, band: float) -> np.ndarray:
+    """The points of a sample that :func:`trim_points` keeps at ``band``."""
+    f, known = sample[0], sample[4]
+    return known & (np.abs(f.astype(np.float32)) < np.float32(band))
 
 
 def trim_points(grid: SdfGrid, pts: np.ndarray, pose: Pose2, threshold: float,
@@ -214,21 +286,25 @@ def trim_points(grid: SdfGrid, pts: np.ndarray, pose: Pose2, threshold: float,
     """
     if sample is None:
         sample = _sample(grid, transform_points(pose, pts))
-    f, known = sample[0], sample[4]
-    return known & (np.abs(f.astype(np.float32)) < np.float32(threshold))
+    return _kept(sample, threshold)
 
 
 def match_two_stage(grid: SdfGrid, scan, init: Pose2,
                     cfg: MatchConfig = MatchConfig()) -> MatchResult:
     """Full registration: optimize on all points, trim, optimize again.
 
-    Stage one estimates a pose from every valid point. Stage two discards
-    the points whose distance value at the stage-one pose lies outside the
-    truncation band and re-optimizes on the survivors, which removes the
-    influence of range outliers that landed inside the band. Each pose
-    visited is sampled once: the trim reads stage one's sample at its best
-    pose, and stage two starts from the kept part of it. ``cfg`` sets only
-    the iteration caps; both distances come from ``grid``.
+    Stage one estimates a pose from every valid point. It stops at its cap,
+    at a relative cost change below 1e-6, or at the first iterate that
+    lowers its best cost and keeps the same points in the truncation band
+    as the iterate before it, since those points are all it hands on. Stage
+    two discards the points whose distance value at the stage-one pose lies
+    outside the band and re-optimizes on the survivors, which removes the
+    influence of range outliers that landed inside the band; it stops at
+    its cap or at the 1e-6 rule. Every step is solved in closed form
+    (:func:`_step`). Each pose visited is sampled once: the trim reads stage
+    one's sample at its best pose, and stage two starts from the kept part
+    of it. ``cfg`` sets only the iteration caps; both distances come from
+    ``grid``.
     """
     # The trim band is the truncation (6cm, the systematic error class of
     # the supported scanners). The Huber scale is a sixth of it (1cm):
@@ -239,7 +315,7 @@ def match_two_stage(grid: SdfGrid, scan, init: Pose2,
     n_valid = len(pts)
 
     stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1,
-                          _CONVERGENCE_EPS, delta)
+                          _CONVERGENCE_EPS, delta, band=grid.truncation)
 
     keep = trim_points(grid, pts, stage1.pose, grid.truncation, stage1.sample)
     n_keep = int(keep.sum())

@@ -442,16 +442,3 @@ def parse_scenario(path):
         raise ValueError(f"{path}: {exc}") from None
     return world, script, model, rate
 
-
-def straight_wall_sweep(wall_x: float = 8.0, half_span: float = 4.0,
-                        poses: int = 100, stand_off: float = 0.0):
-    """A single long wall watched from a line of poses near the origin.
-
-    Used for map-fidelity checks: the wall at ``x = wall_x`` spans
-    ``y in [-half_span, half_span]``; the sensor slides along x = stand_off.
-    Returns (world, list_of_poses).
-    """
-    world = World(np.asarray(
-        [(wall_x, -half_span, wall_x, half_span)], dtype=np.float64))
-    ys = np.linspace(-0.5, 0.5, poses)
-    return world, [Pose2(stand_off, float(y), 0.0) for y in ys]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -140,7 +141,7 @@ class SubmapCollection:
     scans_per_submap: int = 50
     # 10 m at the default resolution, the scanner's reach. A 5 m (100-cell)
     # grid sees little more than the nearest wall, and the built-in lap then
-    # fails 346 of its 400 matches, from about frame 53 on.
+    # fails 340 of its 400 matches, from about frame 59 on.
     cells: int = 200
     resolution: float = 0.05
     truncation: float = 0.06
@@ -152,12 +153,14 @@ class SubmapCollection:
     _stop: weakref.finalize | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        # A one-scan submap finishes before it can be a matching target.
-        if self.scans_per_submap < 2:
-            raise ValueError("scans_per_submap must be at least 2")
-        # Bilinear sampling reads a 2x2 block of nodes.
-        if self.cells < 2:
-            raise ValueError("cells must be at least 2")
+        # A one-scan submap finishes before it can be a matching target, and
+        # bilinear sampling reads a 2x2 block of nodes.
+        for name in ("scans_per_submap", "cells"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value < 2:
+                raise ValueError(f"{name} must be at least 2")
         for name in ("resolution", "truncation", "w_max"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite")

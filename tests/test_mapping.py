@@ -13,7 +13,6 @@ from sdfslam.simulate import (
     rectangle_circuit,
     run_scenario,
     simulate_scan,
-    straight_wall_sweep,
 )
 
 from conftest import make_grid, make_square_world
@@ -21,6 +20,17 @@ from reference_mapping import (
     FREE_SPACE_PRIORITY, DegenerateFit, RegressionLine, SdfCell, UpdateEntry, collect_points,
     fit_deming, free_space_entries, free_space_extent, fuse_cell, integrate_by_ops,
     resolve_update_set, surface_update_entries, update_range)
+
+
+def straight_wall_sweep(wall_x: float, half_span: float, poses: int):
+    """A single long wall watched from a line of poses near the origin.
+
+    The wall at ``x = wall_x`` spans ``y in [-half_span, half_span]``; the
+    sensor slides along the y axis. Returns (world, list_of_poses).
+    """
+    world = World(np.asarray(
+        [(wall_x, -half_span, wall_x, half_span)], dtype=np.float64))
+    return world, [Pose2(0.0, float(y), 0.0) for y in np.linspace(-0.5, 0.5, poses)]
 
 
 def brute_force_line_angle(pts: np.ndarray) -> float:

@@ -43,7 +43,7 @@ def _uniform_grid(value=0.02, weight=4.0, n=30):
 
 class TestMatchConfig:
     @pytest.mark.parametrize("name", ["max_iters_stage1", "max_iters_stage2"])
-    @pytest.mark.parametrize("value", [0, -1.0, math.nan])
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan, 2.5])
     def test_rejects_non_positive_and_nan(self, name, value):
         with pytest.raises(ValueError, match=name):
             MatchConfig(**{name: value})
@@ -220,6 +220,27 @@ class TestGaussNewton:
                                        truth.theta), 0.2)
         assert c1 == pytest.approx(c0, abs=1e-9)
 
+    def test_band_stop_waits_for_a_lower_cost(self, monkeypatch):
+        # Every node of this corner field is known and a 1 m band keeps every
+        # point, so each iterate keeps the same points. Two forced steps
+        # raise the cost above init's, the second less than the first;
+        # neither may end the stage, and the next, real step may.
+        res = 0.0625
+        grid = SdfGrid.unknown(GridGeometry(0.0, 0.0, res, 32, 32), 0.25, 10.0)
+        jj, ii = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
+        grid.F[:] = np.clip(np.minimum(1.0 - ii * res, 1.0 - jj * res), -0.25, 0.25)
+        grid.W[:] = 5.0
+        pts = np.array([(1.0, k * res) for k in range(2, 10)]
+                       + [(k * res, 1.0) for k in range(2, 10)])
+        init = Pose2(0.01, -0.01, 0.01)
+        forced = iter([(0.005, -0.005, 0.0), (-0.002, 0.002, 0.0)])
+        step = matching._step
+        monkeypatch.setattr(matching, "_step", lambda H, g: next(forced, None) or step(H, g))
+
+        result = gauss_newton(grid, pts, init, 10, 1e-6, 0.01, band=1.0)
+        assert result.iterations_stage1 == 3 and result.converged
+        assert result.final_cost < cost(grid, pts, init, 0.01)[0]
+
     def test_deterministic(self, room_map):
         world = make_square_world()
         scan, _ = simulate_scan(world, Pose2(0, 0, 0), SensorModel(seed=13))
@@ -228,6 +249,53 @@ class TestGaussNewton:
         a = gauss_newton(room_map, pts, init, 10, 1e-6, 0.2)
         b = gauss_newton(room_map, pts, init, 10, 1e-6, 0.2)
         assert a == b
+
+
+class TestStep:
+    """``matching._step``, the closed-form damped solve of the 3x3 system."""
+
+    @staticmethod
+    def _spd(eigs, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        H = (q * np.asarray(eigs)) @ q.T
+        return 0.5 * (H + H.T)
+
+    def test_matches_numpy_solve(self):
+        rng = np.random.default_rng(43)
+        for k in range(200):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            H = scale * self._spd(10.0 ** rng.uniform(0, 2, 3), seed=k)
+            g = rng.normal(size=3) * scale
+            want = np.linalg.solve(H + 1e-6 * np.trace(H) * np.eye(3), -g)
+            got = np.array(matching._step(H, g))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("H", [
+        np.zeros((3, 3)),
+        np.full((3, 3), math.nan),
+        np.diag([1.0, math.inf, 1.0]),
+        np.diag([1.0, 1.0, math.nan]),
+        # One direction seen: every point's gradient along y at the origin.
+        np.outer([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]),
+        # A corridor along x: gradients along y only, so x is unobservable.
+        (lambda J: J.T @ J)(np.column_stack((np.zeros(20), np.ones(20),
+                                             np.linspace(-3.0, 3.0, 20)))),
+    ], ids=["zero", "nan", "inf", "nan-diagonal", "rank-1", "corridor-rank-2"])
+    def test_singular_normal_matrix_raises(self, H):
+        with pytest.raises(SingularHessian):
+            matching._step(H, np.ones(3))
+
+    @pytest.mark.parametrize("ratio,singular", [(1e-11, True), (1e-9, False)])
+    def test_eigenvalue_ratio_threshold(self, ratio, singular):
+        H = self._spd([1.0, 0.5, ratio], seed=44)
+        eigs = np.linalg.eigvalsh(H)
+        assert (eigs[0] < 1e-10 * eigs[-1]) == singular
+        if singular:
+            with pytest.raises(SingularHessian):
+                matching._step(H, np.ones(3))
+        else:
+            assert np.isfinite(matching._step(H, np.ones(3))).all()
 
 
 def _young_submap_case():
@@ -342,6 +410,39 @@ class TestMatchTwoStage:
         result = match_two_stage(grid, scan, init)
         assert len(calls) == (result.iterations_stage1 + 1) + result.iterations_stage2
 
+    def test_stage_one_stops_once_its_points_repeat(self, match_case, monkeypatch):
+        # Stage one stops at the first iterate that costs less than every
+        # earlier one and keeps the points the iterate before it kept; init
+        # is the first iterate.
+        grid, scan, init = match_case
+        delta, band = grid.truncation / 6.0, grid.truncation
+        pts = scan_to_points(scan)
+        poses = []
+        transform = matching.transform_points
+
+        def recorded(pose, points):
+            poses.append(pose)
+            return transform(pose, points)
+
+        monkeypatch.setattr(matching, "transform_points", recorded)
+        stage1 = gauss_newton(grid, pts, init, MatchConfig.max_iters_stage1, 1e-6, delta,
+                              band=band)
+        monkeypatch.undo()
+
+        n = stage1.iterations_stage1
+        assert len(poses) == n + 1 and poses[0] == init
+        costs = [cost(grid, pts, pose, delta)[0] for pose in poses]
+        kept = [trim_points(grid, pts, pose, band) for pose in poses]
+
+        def stops(k):
+            return costs[k] < min(costs[:k]) and np.array_equal(kept[k], kept[k - 1])
+
+        assert n < MatchConfig.max_iters_stage1
+        assert stops(n) and stage1.converged
+        assert not any(stops(k) for k in range(1, n))
+        assert stage1.pose == poses[n]
+        assert match_two_stage(grid, scan, init).iterations_stage1 == n
+
     def test_equals_public_stage_composition(self, match_case):
         # Reusing the sample changes no bit of the result, and the match
         # trims at the truncation with a Huber scale of a sixth of it. Stage
@@ -349,7 +450,8 @@ class TestMatchTwoStage:
         grid, scan, init = match_case
         cfg, delta = MatchConfig(), grid.truncation / 6.0
         pts = scan_to_points(scan)
-        stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1, 1e-6, delta)
+        stage1 = gauss_newton(grid, pts, init, cfg.max_iters_stage1, 1e-6, delta,
+                              band=grid.truncation)
         keep = trim_points(grid, pts, stage1.pose, grid.truncation)
         n_keep = int(keep.sum())
         stage2 = gauss_newton(grid, pts[keep], stage1.pose, cfg.max_iters_stage2,

@@ -64,6 +64,7 @@ class TestLifecycle:
         {"w_max": 0.0}, {"w_max": -1.0}, {"w_max": float("nan")}, {"w_max": math.inf},
         {"resolution": 0.0}, {"resolution": float("nan")}, {"resolution": math.inf},
         {"max_expansions": -1},
+        {"scans_per_submap": 10.5}, {"cells": 100.5}, {"max_expansions": 1.5},
     ])
     def test_rejects_unworkable_settings(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
@@ -550,7 +551,7 @@ class TestPureLocalize:
         truth_world = Pose2(0.1, -0.05, 0.2)
         scan, _ = simulate_scan(make_square_world(), truth_world,
                                 SensorModel(noise_sigma=0.005, seed=70))
-        init = compose(world_to_map, compose(truth_world, Pose2(0.04, -0.03, 0.02)))
+        init = compose(world_to_map, compose(truth_world, Pose2(0.08, -0.06, 0.04)))
         r = pure_localize(merged, scan, init, iters=2)
         assert r.iterations_stage1 <= 2 and r.iterations_stage2 <= 2
         assert r == match_two_stage(merged.grid, scan, init, MatchConfig(2, 2))
