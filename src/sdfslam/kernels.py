@@ -5,21 +5,25 @@ Grid arrays are row-major float32 with shape (height, width), indexed
 (ox + col * res, oy + row * res). A point is *interior* when its continuous
 cell coordinates lie in [0, width-1] x [0, height-1].
 
-:func:`bilinear` is the one bilinear blend of the matcher:
-``matching._sample`` masks its result. :func:`bicubic_fw`, the merge,
-blends the nodes of its own edge-padded grids instead, for W and for the F
-of a sample whose 4x4 patch is not all known. It decides each sample's
-support from two masks over the grid's known cells, for its nearest nodes
-and for its 4x4 patch, that it builds once per call instead of gathering
-each sample's stencil. :func:`bilinear_fw`, :func:`bilinear_wf`,
-:func:`traverse_free` and ``BACKEND`` have no caller in the package; they
-stay only while the benchmark's tracer names them (ROADMAP item D). The
-tests use ``bilinear_fw`` as the reference for the partial-patch F, and
+:func:`bilinear` is the one bilinear blend, over cell coordinates that it
+clamps to the interior: ``matching._sample`` computes the cell coordinates
+of the posed scan points in one pass and masks its result.
+:func:`bicubic_fw`, the merge, blends the nodes of its own edge-padded
+grids instead, for W and for the F of a sample whose 4x4 patch is not all
+known. It decides each sample's support from two masks over the grid's
+known cells, for its nearest nodes and for its 4x4 patch, that it builds
+once per call instead of gathering each sample's stencil.
+:func:`bilinear_fw`, :func:`bilinear_wf`, :func:`traverse_free` and
+``BACKEND`` have no caller in the package; they stay only while the
+benchmark's tracer names them (ROADMAP item D). The tests use
+``bilinear_fw`` as the reference for the partial-patch F, and
 ``traverse_free``, with its own in-grid test, as the reference for
 ``mapping.traverse_beams``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,35 +40,47 @@ def _cell_coords(pts, ox, oy, res, shape):
     return u, v, (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
 
 
-def bilinear(F, W, ox, oy, res, pts):
-    """Bilinear F, its gradient and W at every point, for the caller to mask.
+@functools.lru_cache(maxsize=None)
+def _corners(width):
+    """Flat offsets of a node's four bilinear corners, one row each; shared
+    by every call on a grid of this width, so read-only."""
+    offsets = np.array([[0], [1], [width], [width + 1]])
+    offsets.flags.writeable = False
+    return offsets
+
+
+def bilinear(F, W, u, v, res):
+    """Bilinear F, its gradient and W at cell coordinates (u, v), for the
+    caller to mask.
 
     Returns ``(f, gx, gy, w, inside, wn)``: float64 values, the interior
     mask, and the float32 W of each point's four nodes, one row per corner
-    (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1). A point outside the
-    interior, a non-finite one too, reads a border cell and may give NaN or
-    inf; every caller masks this result.
+    (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1). The coordinates are
+    clamped to the interior before any node is read, so a point outside it,
+    a non-finite one too, reads the nodes of its clamped point and raises
+    no warning; every caller masks it.
     """
     h, w = F.shape
-    u, v, inside = _cell_coords(pts, ox, oy, res, F.shape)
-    # fmin and fmax send NaN to the bound, so every index lies in the grid;
-    # for an interior point this is min(int(u), w - 2).
-    i0 = np.fmin(np.fmax(u, 0.0), w - 2.0).astype(np.int64)
-    j0 = np.fmin(np.fmax(v, 0.0), h - 2.0).astype(np.int64)
-    nodes = (j0 * w + i0) + np.array([[0], [1], [w], [w + 1]])
+    # fmax and fmin send NaN to a bound. A coordinate is interior exactly
+    # when the clamp leaves it where it was.
+    uc = np.fmin(np.fmax(u, 0.0), w - 1.0)
+    vc = np.fmin(np.fmax(v, 0.0), h - 1.0)
+    inside = (uc == u) & (vc == v)
+    i0 = np.minimum(uc.astype(np.int64), w - 2)
+    j0 = np.minimum(vc.astype(np.int64), h - 2)
+    nodes = (j0 * w + i0) + _corners(w)
     f00, f10, f01, f11 = F.ravel().take(nodes).astype(np.float64)
     wn = W.ravel().take(nodes)
     w00, w10, w01, w11 = wn
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        tu = u - i0
-        tv = v - j0
-        su = 1.0 - tu
-        sv = 1.0 - tv
-        f = sv * (su * f00 + tu * f10) + tv * (su * f01 + tu * f11)
-        gx = (sv * (f10 - f00) + tv * (f11 - f01)) / res
-        gy = (su * (f01 - f00) + tu * (f11 - f10)) / res
-        wv = sv * (su * w00 + tu * w10) + tv * (su * w01 + tu * w11)
+    tu = uc - i0
+    tv = vc - j0
+    su = 1.0 - tu
+    sv = 1.0 - tv
+    f = sv * (su * f00 + tu * f10) + tv * (su * f01 + tu * f11)
+    gx = (sv * (f10 - f00) + tv * (f11 - f01)) / res
+    gy = (su * (f01 - f00) + tu * (f11 - f10)) / res
+    wv = sv * (su * w00 + tu * w10) + tv * (su * w01 + tu * w11)
     return f, gx, gy, wv, inside, wn
 
 
@@ -76,7 +92,8 @@ def bilinear_fw(F, W, ox, oy, res, trunc, pts):
 
     Returns (f_values, w_values) float64 arrays.
     """
-    f, _, _, wv, inside, _ = bilinear(F, W, ox, oy, res, pts)
+    u, v, _ = _cell_coords(pts, ox, oy, res, F.shape)
+    f, _, _, wv, inside, _ = bilinear(F, W, u, v, res)
     return np.where(inside, f, trunc), np.where(inside, wv, 0.0)
 
 
@@ -93,7 +110,8 @@ def bilinear_wf(F, W, ox, oy, res, trunc, wmax, pts):
     """
     sat = wmax * trunc
     M = np.where(W > 0.0, W.astype(np.float64) * F.astype(np.float64), sat)
-    m, gx, gy, _, inside, _ = bilinear(M, W, ox, oy, res, pts)
+    u, v, _ = _cell_coords(pts, ox, oy, res, F.shape)
+    m, gx, gy, _, inside, _ = bilinear(M, W, u, v, res)
     return np.where(inside, m, sat), np.where(inside, gx, 0.0), np.where(inside, gy, 0.0)
 
 

@@ -17,16 +17,20 @@ outside the truncation band, which removes most range outliers.
 off the grid being matched, with no override; its only settings are the
 iteration caps of :class:`MatchConfig`.
 
-Stage one exists only to choose stage two's points, so it also stops at the
-first iterate that lowers the cost below every earlier iterate and keeps
-the same points as the iterate before it. Each step solves the damped 3x3
-normal equations in closed form, in Python floats: the symmetric
-eigenvalues for the rank test, then a Cholesky solve (see :func:`_step`).
+Each step solves the damped 3x3 normal equations in closed form, in Python
+floats: the symmetric eigenvalues for the rank test, then a Cholesky solve
+(see :func:`_step`). Both stages end, before stepping, once the decrease
+that the Gauss-Newton model predicts for the step, -(g . x), is at most
+1e-6 of the current cost, so a converged stage takes no sample that only
+confirms it. Stage one exists only to choose stage two's points, so it
+also stops at the first iterate that lowers the cost below every earlier
+iterate and keeps the same points as the iterate before it.
 
-A match samples the grid once at each pose it visits. Trimming reads stage
-one's sample at its best pose, and stage two starts from the kept points of
-that sample: transforming and sampling act point by point, so the subset of
-a sample is the sample of the subset.
+A match samples the grid once at each pose it visits, straight from the
+scan-frame points and the pose. Trimming reads stage one's sample at its
+best pose, and stage two starts from the kept points of that sample:
+sampling acts point by point, so the subset of a sample is the sample of
+the subset.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import IDENTITY, Pose2, normalize_angle, scan_to_points, transform_points
+from .geometry import IDENTITY, Pose2, normalize_angle, scan_to_points
 from .mapping import SdfGrid
 from . import kernels
 
 _EIG_RATIO_MIN = 1e-10
 _DAMPING = 1e-6
-_CONVERGENCE_EPS = 1e-6  # relative cost change that ends a stage
+_CONVERGENCE_EPS = 1e-6  # predicted decrease, relative to the cost, that ends a stage
 
 
 class SingularHessian(RuntimeError):
@@ -75,9 +79,11 @@ class MatchConfig:
 class MatchResult:
     """The best pose a match found and what it took.
 
-    :func:`gauss_newton` sets ``sample``, the grid sample of its points at
-    ``pose`` (see :func:`_sample`), for the trim and stage two to reuse; it
-    takes no part in comparisons.
+    ``converged`` means that the (last) stage ended on a stop rule, not at
+    its cap; under the predicted-decrease rule a stage may end with no
+    step. :func:`gauss_newton` sets ``sample``, the grid sample of its
+    points at ``pose`` (see :func:`_sample`), for the trim and stage two to
+    reuse; it takes no part in comparisons.
     """
 
     pose: Pose2
@@ -90,23 +96,31 @@ class MatchResult:
     sample: tuple | None = field(default=None, compare=False, repr=False)
 
 
-def _sample(grid: SdfGrid, world: np.ndarray):
-    """Bilinear F, its gradient and the confidence W / w_max at each point.
+def _sample(grid: SdfGrid, pts: np.ndarray, pose: Pose2):
+    """Bilinear F, its gradient and the confidence W / w_max of the (n, 2)
+    scan-frame points ``pts`` placed at ``pose``.
 
-    A mask over ``kernels.bilinear``. Returns ``(f, gx, gy, conf, known)``.
-    ``known`` marks the points inside the interior whose four surrounding
-    nodes all have W > 0; the other points, off-grid and non-finite ones
-    among them, get zeros everywhere, so they carry no residual and no
-    weight. This holds also for a point exactly on a node's column or row:
-    the next nodes have zero weight in F there, but the gradient across the
-    column or row reads them. The rule is therefore stricter, on purpose,
-    than the merge's ``kernels.bicubic_fw``, which needs only a value.
+    The cell coordinates of the placed points are computed in one pass, with
+    no world-point array, and handed to ``kernels.bilinear``, whose result
+    this masks. Returns ``(f, gx, gy, conf, known)``. ``known`` marks the
+    points inside the interior whose four surrounding nodes all have W > 0;
+    the other points, off-grid and non-finite ones among them, get zeros
+    everywhere, so they carry no residual and no weight. This holds also
+    for a point exactly on a node's column or row: the next nodes have zero
+    weight in F there, but the gradient across the column or row reads
+    them. The rule is therefore stricter, on purpose, than the merge's
+    ``kernels.bicubic_fw``, which needs only a value.
     """
     geom = grid.geometry
-    f, gx, gy, w, inside, wn = kernels.bilinear(
-        grid.F, grid.W, geom.origin_x, geom.origin_y, geom.resolution, world)
-    known = inside & np.all(wn > 0.0, axis=0)
-    # An unsupported point may hold NaN or inf until the mask zeroes it.
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    x, y = pts[:, 0], pts[:, 1]
+    # Only a non-finite point can make NaN or overflow here, and the
+    # interior test drops it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = (c * x - s * y + (pose.x - geom.origin_x)) / geom.resolution
+        v = (s * x + c * y + (pose.y - geom.origin_y)) / geom.resolution
+    f, gx, gy, w, inside, wn = kernels.bilinear(grid.F, grid.W, u, v, geom.resolution)
+    known = inside & np.logical_and.reduce(wn > 0.0)
     f, gx, gy, w = np.where(known, [f, gx, gy, w], 0.0)
     return f, gx, gy, w / grid.w_max, known
 
@@ -126,7 +140,8 @@ def cost(grid: SdfGrid, scan_points, pose: Pose2, huber_delta: float):
     The residual is NaN for a point without full known support; such a
     point adds nothing to the cost.
     """
-    sample = _sample(grid, transform_points(pose, scan_points))
+    pts = np.asarray(scan_points, dtype=np.float64).reshape(-1, 2)
+    sample = _sample(grid, pts, pose)
     total, _, _ = _robust_cost(sample, huber_delta)
     return total, np.where(sample[4], sample[0], np.nan)
 
@@ -206,13 +221,16 @@ def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int,
                  first=None, band: float | None = None) -> MatchResult:
     """Minimize the robust SDF cost from ``init``.
 
-    Stops at the iteration cap or when the relative cost change between two
-    consecutive iterations falls below ``convergence_eps``. With a ``band``,
-    it also stops at the first iterate that costs less than every earlier
-    one and keeps the same points as the iterate before it, where an
-    iterate keeps what :func:`trim_points` keeps at ``band`` (``init`` is
-    the first iterate). A stop by either rule sets ``converged``. Each step
-    is :func:`_step`. The best iterate is tracked, so the returned pose
+    Each step ``x`` is :func:`_step`. Before taking it, the stage stops
+    when the decrease that the Gauss-Newton model predicts,
+    ``-(g . x) = g^T (H + mu I)^-1 g``, is at most ``convergence_eps`` times
+    the current cost, so a zero-cost start ends with no step and a stop
+    takes no new sample. With a ``band``, it also stops at the first
+    iterate that costs less than every earlier one and keeps the same
+    points as the iterate before it, where an iterate keeps what
+    :func:`trim_points` keeps at ``band`` (``init`` is the first iterate).
+    A stop by either rule sets ``converged``; otherwise the stage ends at
+    ``max_iters`` steps. The best iterate is tracked, so the returned pose
     never costs more than ``init``, and the result carries its sample.
     Every setting comes from the caller; :func:`match_two_stage` takes the
     distances from the grid and passes ``band`` to stage one only.
@@ -224,30 +242,31 @@ def gauss_newton(grid: SdfGrid, scan_points, init: Pose2, max_iters: int,
         raise SingularHessian("no points to match")
 
     pose = init
-    sample = _sample(grid, transform_points(pose, pts)) if first is None else first
-    prev_cost, a, inlier = _robust_cost(sample, huber_delta)
+    sample = _sample(grid, pts, pose) if first is None else first
+    cur_cost, a, inlier = _robust_cost(sample, huber_delta)
     kept = None if band is None else _kept(sample, band)
-    best_pose, best_cost, best_sample = pose, prev_cost, sample
+    best_pose, best_cost, best_sample = pose, cur_cost, sample
     iters = 0
     converged = False
 
     for _ in range(max_iters):
-        # H and g are built only at a pose the loop steps from.
+        # H and g are built only at a pose the loop may step from.
         H, g = _normal_equations(pts, pose, sample, a, inlier, huber_delta)
         dx, dy, dtheta = _step(H, g)
+        g0, g1, g2 = g.tolist()
+        # The decrease that the Gauss-Newton model predicts for the step;
+        # ``<=`` ends a zero-cost start at once.
+        if -(g0 * dx + g1 * dy + g2 * dtheta) <= convergence_eps * cur_cost:
+            converged = True
+            break
 
         pose = Pose2(pose.x + dx, pose.y + dy, pose.theta + dtheta)
-        sample = _sample(grid, transform_points(pose, pts))
+        sample = _sample(grid, pts, pose)
         cur_cost, a, inlier = _robust_cost(sample, huber_delta)
         iters += 1
         lowered = cur_cost < best_cost
         if lowered:
             best_pose, best_cost, best_sample = pose, cur_cost, sample
-        rel = abs(prev_cost - cur_cost) / max(prev_cost, 1e-300)
-        prev_cost = cur_cost
-        if rel < convergence_eps:
-            converged = True
-            break
         if band is not None:
             kept, before = _kept(sample, band), kept
             if lowered and np.array_equal(kept, before):
@@ -285,7 +304,7 @@ def trim_points(grid: SdfGrid, pts: np.ndarray, pose: Pose2, threshold: float,
     sampling again.
     """
     if sample is None:
-        sample = _sample(grid, transform_points(pose, pts))
+        sample = _sample(grid, np.asarray(pts, dtype=np.float64).reshape(-1, 2), pose)
     return _kept(sample, threshold)
 
 
@@ -294,17 +313,18 @@ def match_two_stage(grid: SdfGrid, scan, init: Pose2,
     """Full registration: optimize on all points, trim, optimize again.
 
     Stage one estimates a pose from every valid point. It stops at its cap,
-    at a relative cost change below 1e-6, or at the first iterate that
-    lowers its best cost and keeps the same points in the truncation band
-    as the iterate before it, since those points are all it hands on. Stage
-    two discards the points whose distance value at the stage-one pose lies
-    outside the band and re-optimizes on the survivors, which removes the
-    influence of range outliers that landed inside the band; it stops at
-    its cap or at the 1e-6 rule. Every step is solved in closed form
-    (:func:`_step`). Each pose visited is sampled once: the trim reads stage
-    one's sample at its best pose, and stage two starts from the kept part
-    of it. ``cfg`` sets only the iteration caps; both distances come from
-    ``grid``.
+    before a step whose predicted decrease is at most 1e-6 of the cost, or
+    at the first iterate that lowers its best cost and keeps the same
+    points in the truncation band as the iterate before it, since those
+    points are all it hands on. Stage two discards the points whose
+    distance value at the stage-one pose lies outside the band and
+    re-optimizes on the survivors, which removes the influence of range
+    outliers that landed inside the band; it stops at its cap or at the
+    predicted-decrease rule, which may end it with no step at all. Every
+    step is solved in closed form (:func:`_step`). Each pose visited is
+    sampled once: the trim reads stage one's sample at its best pose, and
+    stage two starts from the kept part of it. ``cfg`` sets only the
+    iteration caps; both distances come from ``grid``.
     """
     # The trim band is the truncation (6cm, the systematic error class of
     # the supported scanners). The Huber scale is a sixth of it (1cm):

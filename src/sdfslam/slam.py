@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .geometry import Pose2, compose, inverse
 from .matching import MatchConfig, match_two_stage, track
-from .submaps import SubmapCollection
+from .submaps import SubmapCollection, _check_size
 
 
 @dataclass
@@ -32,7 +32,10 @@ class SlamParams:
     match: MatchConfig = field(default_factory=MatchConfig)
 
     def __post_init__(self):
-        # Bad settings fail here, before any scan is read.
+        # Bad settings fail here, before any scan is read; the submap sizes
+        # are checked under these fields' names, not the collection's.
+        _check_size("submap_scans", self.submap_scans)
+        _check_size("submap_cells", self.submap_cells)
         self.collection()
 
     def collection(self) -> SubmapCollection:

@@ -119,6 +119,16 @@ def _stop_worker(proc: subprocess.Popen):
         pass
 
 
+def _check_size(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer of at
+    least 2: a one-scan submap finishes before it can be a matching target,
+    and bilinear sampling reads a 2x2 block of nodes."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    if value < 2:
+        raise ValueError(f"{name} must be at least 2")
+
+
 @dataclass(eq=False)
 class SubmapCollection:
     """Staggered two-deep window of submaps under construction.
@@ -153,14 +163,8 @@ class SubmapCollection:
     _stop: weakref.finalize | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        # A one-scan submap finishes before it can be a matching target, and
-        # bilinear sampling reads a 2x2 block of nodes.
         for name in ("scans_per_submap", "cells"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-            if value < 2:
-                raise ValueError(f"{name} must be at least 2")
+            _check_size(name, getattr(self, name))
         for name in ("resolution", "truncation", "w_max"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite")

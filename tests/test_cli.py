@@ -193,7 +193,7 @@ class TestPipeline:
         code, text = run("slam", "--log", d / "log.txt", "--out-dir", tmp_path / "slam",
                          "--submap-scans", 1)
         assert code == 1
-        assert "scans_per_submap must be at least 2" in text
+        assert text == "error: --submap-scans: submap_scans must be at least 2\n"
         assert not (tmp_path / "slam").exists()
 
     def test_slam_rejects_one_cell_submaps(self, pipeline, tmp_path):
@@ -202,7 +202,7 @@ class TestPipeline:
         code, text = run("slam", "--log", d / "log.txt", "--out-dir", tmp_path / "slam",
                          "--submap-cells", 1)
         assert code == 1
-        assert "cells must be at least 2" in text
+        assert text == "error: --submap-cells: submap_cells must be at least 2\n"
         assert not (tmp_path / "slam").exists()
 
     def test_export_writes_image(self, pipeline):

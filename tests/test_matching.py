@@ -12,7 +12,6 @@ from sdfslam.geometry import (
     compose,
     inverse,
     scan_to_points,
-    transform_points,
 )
 from sdfslam.mapping import SdfGrid
 from sdfslam.matching import (
@@ -129,28 +128,68 @@ class TestCost:
         assert c_true < c_pert
 
 
+def _corner_case():
+    """A binary-exact corner field and 16 points on its two walls.
+
+    The resolution is 1/16 m and the walls x = 1 and y = 1 lie on cell
+    centers, so at the identity every point sits on the zero set and every
+    node is known.
+    """
+    res = 0.0625
+    grid = SdfGrid.unknown(GridGeometry(0.0, 0.0, res, 32, 32), 0.25, 10.0)
+    jj, ii = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
+    grid.F[:] = np.clip(np.minimum(1.0 - ii * res, 1.0 - jj * res), -0.25, 0.25)
+    grid.W[:] = 5.0
+    pts = np.array([(1.0, k * res) for k in range(2, 10)]
+                   + [(k * res, 1.0) for k in range(2, 10)])
+    return grid, pts
+
+
 class TestGaussNewton:
-    def test_fixed_point_at_truth(self):
-        # Binary-exact corner map (resolution 1/16 m, walls on cell centers)
-        # makes the truth pose an exact fixed point: points on the zero set
-        # give identically zero residuals, so the pose must not move.
-        res = 0.0625
-        geom = GridGeometry(0.0, 0.0, res, 32, 32)
-        grid = SdfGrid.unknown(geom, truncation=0.25, w_max=10.0)
-        jj, ii = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
-        d1 = 1.0 - ii * res
-        d2 = 1.0 - jj * res
-        grid.F[:] = np.clip(np.minimum(d1, d2), -0.25, 0.25).astype(np.float32)
-        grid.W[:] = 5.0
-        pts = [(1.0, k * res) for k in range(2, 10)]
-        pts += [(k * res, 1.0) for k in range(2, 10)]
+    def test_fixed_point_at_truth(self, monkeypatch):
+        # The truth pose of the corner field is an exact fixed point: points
+        # on the zero set give identically zero residuals, so the pose must
+        # not move. At a zero cost the predicted decrease is zero too, which
+        # ends the stage before any step, so only the start is sampled.
+        grid, pts = _corner_case()
+        calls = []
+        sample = matching._sample
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(matching, "_sample", counted)
         truth = Pose2(0.0, 0.0, 0.0)
-        result = gauss_newton(grid, np.asarray(pts), truth, max_iters=10,
+        result = gauss_newton(grid, pts, truth, max_iters=10,
                               convergence_eps=1e-6, huber_delta=0.2)
-        assert result.iterations_stage1 <= 2
+        assert result.final_cost == 0.0
+        assert result.iterations_stage1 == 0 and len(calls) == 1
         assert result.converged
-        assert math.hypot(result.pose.x - truth.x, result.pose.y - truth.y) < 1e-6
-        assert abs(result.pose.theta) < 1e-6
+        assert result.pose == truth
+
+    def test_predicted_decrease_matches_realized(self, room_map):
+        # The stop rule reads the decrease that the Gauss-Newton model
+        # predicts for the step x, -(g . x) = g^T (H + mu I)^-1 g. Near the
+        # minimum the model holds, so the realized decrease agrees with it.
+        world = make_square_world()
+        truth = Pose2(0.05, -0.05, 0.3)
+        delta = room_map.truncation / 6.0
+        for rate in (0.0, 0.12):
+            scan, _ = simulate_scan(world, truth, SensorModel(
+                noise_sigma=0.005, outlier_rate=rate, seed=18))
+            pts = scan_to_points(scan)
+            pose = Pose2(truth.x + 0.001, truth.y - 0.001, truth.theta + 0.001)
+            sample = matching._sample(room_map, pts, pose)
+            before, a, inlier = matching._robust_cost(sample, delta)
+            H, g = matching._normal_equations(pts, pose, sample, a, inlier, delta)
+            x = np.array(matching._step(H, g))
+            predicted = -float(g @ x)
+            mu = 1e-6 * np.trace(H)
+            assert predicted == pytest.approx(g @ np.linalg.solve(H + mu * np.eye(3), g))
+            stepped = Pose2(pose.x + x[0], pose.y + x[1], pose.theta + x[2])
+            after, _ = cost(room_map, pts, stepped, delta)
+            assert before - after == pytest.approx(predicted, rel=0.1)
 
     def test_recovers_perturbed_init(self, room_map):
         world = make_square_world()
@@ -221,25 +260,34 @@ class TestGaussNewton:
         assert c1 == pytest.approx(c0, abs=1e-9)
 
     def test_band_stop_waits_for_a_lower_cost(self, monkeypatch):
-        # Every node of this corner field is known and a 1 m band keeps every
-        # point, so each iterate keeps the same points. Two forced steps
-        # raise the cost above init's, the second less than the first;
-        # neither may end the stage, and the next, real step may.
-        res = 0.0625
-        grid = SdfGrid.unknown(GridGeometry(0.0, 0.0, res, 32, 32), 0.25, 10.0)
-        jj, ii = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
-        grid.F[:] = np.clip(np.minimum(1.0 - ii * res, 1.0 - jj * res), -0.25, 0.25)
-        grid.W[:] = 5.0
-        pts = np.array([(1.0, k * res) for k in range(2, 10)]
-                       + [(k * res, 1.0) for k in range(2, 10)])
+        # Every node of the corner field is known and a 1 m band keeps every
+        # point, so each iterate keeps the same points. Two forced overshoots
+        # of the true step, 3x and then 1.8x, raise the cost above init's,
+        # the second less than the first, while the predicted decrease stays
+        # positive; neither may end the stage, and the next, real step may.
+        grid, pts = _corner_case()
         init = Pose2(0.01, -0.01, 0.01)
-        forced = iter([(0.005, -0.005, 0.0), (-0.002, 0.002, 0.0)])
-        step = matching._step
-        monkeypatch.setattr(matching, "_step", lambda H, g: next(forced, None) or step(H, g))
+        factors = iter([3.0, 1.8])
+        step, sample = matching._step, matching._sample
+        poses = []
 
+        def overshoot(H, g):
+            k = next(factors, 1.0)
+            return tuple(k * x for x in step(H, g))
+
+        def recorded(grid, pts, pose):
+            poses.append(pose)
+            return sample(grid, pts, pose)
+
+        monkeypatch.setattr(matching, "_step", overshoot)
+        monkeypatch.setattr(matching, "_sample", recorded)
         result = gauss_newton(grid, pts, init, 10, 1e-6, 0.01, band=1.0)
+        monkeypatch.undo()
+
+        costs = [cost(grid, pts, pose, 0.01)[0] for pose in poses]
+        assert costs[1] > costs[2] > costs[0] > costs[3]
         assert result.iterations_stage1 == 3 and result.converged
-        assert result.final_cost < cost(grid, pts, init, 0.01)[0]
+        assert result.final_cost == costs[3]
 
     def test_deterministic(self, room_map):
         world = make_square_world()
@@ -397,7 +445,9 @@ class TestMatchTwoStage:
 
     def test_samples_each_pose_once(self, match_case, monkeypatch):
         # Stage one samples its init and each iterate; the trim and stage
-        # two's start reuse stage one's sample at its best pose.
+        # two's start reuse stage one's sample at its best pose. A stage
+        # ends before a step it would not take, so no sample follows the
+        # last step.
         grid, scan, init = match_case
         calls = []
         sample = matching._sample
@@ -410,6 +460,25 @@ class TestMatchTwoStage:
         result = match_two_stage(grid, scan, init)
         assert len(calls) == (result.iterations_stage1 + 1) + result.iterations_stage2
 
+    def test_a_converged_match_takes_no_step(self, match_case, monkeypatch):
+        # Matched again from its own result, a match takes no step in either
+        # stage: the predicted decrease ends both at once, so stage two
+        # converges with no step and the start is the only sample.
+        grid, scan, init = match_case
+        first = match_two_stage(grid, scan, init)
+        calls = []
+        sample = matching._sample
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(matching, "_sample", counted)
+        again = match_two_stage(grid, scan, first.pose)
+        assert (again.iterations_stage1, again.iterations_stage2) == (0, 0)
+        assert again.converged and again.pose == first.pose
+        assert len(calls) == 1
+
     def test_stage_one_stops_once_its_points_repeat(self, match_case, monkeypatch):
         # Stage one stops at the first iterate that costs less than every
         # earlier one and keeps the points the iterate before it kept; init
@@ -418,13 +487,13 @@ class TestMatchTwoStage:
         delta, band = grid.truncation / 6.0, grid.truncation
         pts = scan_to_points(scan)
         poses = []
-        transform = matching.transform_points
+        sample = matching._sample
 
-        def recorded(pose, points):
+        def recorded(grid, points, pose):
             poses.append(pose)
-            return transform(pose, points)
+            return sample(grid, points, pose)
 
-        monkeypatch.setattr(matching, "transform_points", recorded)
+        monkeypatch.setattr(matching, "_sample", recorded)
         stage1 = gauss_newton(grid, pts, init, MatchConfig.max_iters_stage1, 1e-6, delta,
                               band=band)
         monkeypatch.undo()
@@ -461,7 +530,7 @@ class TestMatchTwoStage:
                                stage2.converged)
 
         assert match_two_stage(grid, scan, init) == expected
-        fresh = matching._sample(grid, transform_points(stage1.pose, pts))
+        fresh = matching._sample(grid, pts, stage1.pose)
         for got, want in zip(stage1.sample, fresh, strict=True):
             assert np.array_equal(got, want)
 

@@ -1,7 +1,8 @@
 """The samplers against reference forms that must give the same bytes.
 
 ``matching._sample`` and ``kernels.bilinear_fw`` evaluate every point and
-mask once. Their references select the supported points first, sample
+mask once; ``_sample`` at ``IDENTITY`` must give its reference's bytes, and
+at other poses agree with sampling the transformed points to rounding. Their references select the supported points first, sample
 only those and scatter the results into outputs preset to the unsupported
 value. ``kernels.bicubic_fw`` reads each sample's support from masks over
 the grid that it builds once per call; its reference gathers the nearest
@@ -12,13 +13,14 @@ bytes, with no warning, for points on and between the nodes, on the last
 row and column, off the grid and non-finite.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from sdfslam import kernels, matching, submaps
-from sdfslam.geometry import GridGeometry, Pose2, inverse, transform_points
+from sdfslam.geometry import IDENTITY, GridGeometry, Pose2, inverse, transform_points
 from sdfslam.mapping import SdfGrid
 
 TRUNC = 0.06
@@ -215,8 +217,32 @@ class TestSamplersMatchReference:
         for name, pts in point_sets(rng, geom).items():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = matching._sample(grid, pts)
+                got = matching._sample(grid, pts, IDENTITY)
             assert_same_bytes(got, reference_sample(grid, pts), name)
+
+    def test_sample_at_a_pose(self, geom):
+        # Sampling scan points at a pose computes their cell coordinates in
+        # one pass; it agrees, to rounding, with sampling the world points
+        # that ``transform_points`` gives. Points placed off the grid get
+        # zeros, and non-finite ones also raise no warning at any pose.
+        rng = np.random.default_rng(97)
+        grid = random_grid(rng, geom)
+        sets = point_sets(rng, geom)
+        for _ in range(20):
+            pose = Pose2(*rng.uniform(-0.5, 0.5, 2), rng.uniform(-math.pi, math.pi))
+            pts = transform_points(inverse(pose), sets["random"])
+            off = np.concatenate([transform_points(inverse(pose), sets["off_grid"]),
+                                  sets["non_finite_and_huge"]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = matching._sample(grid, pts, pose)
+                got_off = matching._sample(grid, off, pose)
+            want = reference_sample(grid, transform_points(pose, pts))
+            assert np.array_equal(got[4], want[4])
+            for g, e in zip(got[:4], want[:4]):
+                assert np.abs(g - e).max() <= 1e-12
+            for values in got_off:
+                assert not values.any()
 
     def test_bilinear_fw(self, geom):
         rng = np.random.default_rng(92)

@@ -33,6 +33,18 @@ def lap():
     return records, run_slam(records, PARAMS)
 
 
+@pytest.mark.parametrize("setting,message", [
+    ({"submap_scans": 1}, "submap_scans must be at least 2"),
+    ({"submap_scans": 10.5}, "submap_scans must be an integer"),
+    ({"submap_cells": 1}, "submap_cells must be at least 2"),
+    ({"submap_cells": 100.5}, "submap_cells must be an integer"),
+])
+def test_params_name_their_own_fields(setting, message):
+    with pytest.raises(ValueError) as raised:
+        SlamParams(**setting)
+    assert str(raised.value) == message
+
+
 def test_every_frame_matches(lap):
     _, result = lap
     assert result.match_failures == 0
